@@ -29,8 +29,9 @@ trajectory-identical under faults (see ``docs/faults.md`` for the exact
 semantics contract and ``tests/sim/test_differential.py`` for the
 enforcement).
 
-Fault scenarios are named by compact spec strings so they can ride through
-the experiment grid, the sweep cache key and the CLI unchanged::
+Fault scenarios are named by compact spec strings in the shared
+:mod:`repro.spec` grammar, so they can ride through the experiment grid,
+the sweep cache key and the CLI unchanged::
 
     none
     crash:p=0.2,tmax=400        # each worker crashes w.p. 0.2 at U(0, 400)
@@ -47,6 +48,8 @@ import math
 import typing
 
 import numpy as np
+
+from repro.spec import Spec, format_number
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.platform.spec import PlatformSpec
@@ -194,11 +197,7 @@ class StreamFaultSchedule:
     — on the absolute clock, for the full star — and then *projected*
     into each job's frame: crash/pause/slowdown state carries across
     jobs, and a worker that died during job ``k`` stays dead for every
-    job ``j > k``.  The legacy behavior (each per-job ``simulate()``
-    call re-realizing the model relative to its own start, so a crashed
-    worker resurrects for the next job) is kept behind the
-    ``fault_frame="job"`` escape hatch of
-    :func:`~repro.sim.multijob.simulate_stream`.
+    job ``j > k``.
 
     :meth:`realize` samples the model exactly like the single-run
     engines do — from the *third spawned child* of the (stream) seed
@@ -562,8 +561,8 @@ class CrashFaults(FaultModel):
     @property
     def spec(self) -> str:
         if self.worker is not None:
-            return f"crash:worker={self.worker},at={_fmt(self.at)}"
-        return f"crash:p={_fmt(self.prob)},tmax={_fmt(self.tmax)}"
+            return f"crash:worker={self.worker},at={format_number(self.at)}"
+        return f"crash:p={format_number(self.prob)},tmax={format_number(self.tmax)}"
 
     def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
         n = platform.N
@@ -623,7 +622,10 @@ class PauseFaults(FaultModel):
 
     @property
     def spec(self) -> str:
-        return f"pause:p={_fmt(self.prob)},tmax={_fmt(self.tmax)},dur={_fmt(self.duration)}"
+        return (
+            f"pause:p={format_number(self.prob)},tmax={format_number(self.tmax)},"
+            f"dur={format_number(self.duration)}"
+        )
 
     def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
         n = platform.N
@@ -658,7 +660,10 @@ class SlowdownFaults(FaultModel):
 
     @property
     def spec(self) -> str:
-        return f"slow:p={_fmt(self.prob)},tmax={_fmt(self.tmax)},factor={_fmt(self.factor)}"
+        return (
+            f"slow:p={format_number(self.prob)},tmax={format_number(self.tmax)},"
+            f"factor={format_number(self.factor)}"
+        )
 
     def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
         n = platform.N
@@ -693,7 +698,7 @@ class LinkSpikeFaults(FaultModel):
 
     @property
     def spec(self) -> str:
-        return f"spike:p={_fmt(self.prob)},delay={_fmt(self.delay)}"
+        return f"spike:p={format_number(self.prob)},delay={format_number(self.delay)}"
 
     def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
         return dataclasses.replace(
@@ -714,47 +719,6 @@ class LinkSpikeFaults(FaultModel):
         return plane
 
 
-def _fmt(value: float | int) -> str:
-    """Compact canonical number formatting for spec strings."""
-    f = float(value)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
-def _parse_kv(body: str, kind: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed fault parameter {part!r} in {kind!r} spec")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"fault parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
-    return out
-
-
-def _take(params: dict[str, float], kind: str, *names: str, **defaults) -> list[float]:
-    values = []
-    for name in names:
-        if name in params:
-            values.append(params.pop(name))
-        elif name in defaults:
-            values.append(defaults[name])
-        else:
-            raise ValueError(f"fault spec {kind!r} is missing parameter {name!r}")
-    if params:
-        extra = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for fault kind {kind!r}: {extra}")
-    return values
-
-
 def make_fault_model(spec: str | FaultModel) -> FaultModel:
     """Parse a fault spec string (see module docstring) into a model.
 
@@ -768,28 +732,35 @@ def make_fault_model(spec: str | FaultModel) -> FaultModel:
     text = spec.strip()
     if text in (NO_FAULT_SPEC, ""):
         return NoFaults()
-    kind, sep, body = text.partition(":")
-    kind = kind.strip()
-    if not sep:
+    parsed = Spec(text, "fault")
+    kind = parsed.kind
+    if not parsed.has_body:
         raise ValueError(f"fault spec {spec!r} has no parameters (expected kind:k=v,…)")
-    params = _parse_kv(body, kind)
+    cls: type[FaultModel]
     if kind == "crash":
-        if "worker" in params or "at" in params:
-            worker, at = _take(params, kind, "worker", "at")
-            if worker != int(worker):
-                raise ValueError(f"crash worker index must be integral, got {worker}")
-            return CrashFaults(worker=int(worker), at=at)
-        p, tmax = _take(params, kind, "p", "tmax")
-        return CrashFaults(prob=p, tmax=tmax)
-    if kind == "pause":
-        p, tmax, dur = _take(params, kind, "p", "tmax", "dur")
-        return PauseFaults(prob=p, tmax=tmax, duration=dur)
-    if kind == "slow":
-        p, tmax, factor = _take(params, kind, "p", "tmax", "factor")
-        return SlowdownFaults(prob=p, tmax=tmax, factor=factor)
-    if kind == "spike":
-        p, delay = _take(params, kind, "p", "delay")
-        return LinkSpikeFaults(prob=p, delay=delay)
-    raise ValueError(
-        f"unknown fault kind {kind!r}; available: crash, pause, slow, spike, none"
-    )
+        cls = CrashFaults
+        if "worker" in parsed or "at" in parsed:
+            params = dict(worker=parsed.take_int("worker"), at=parsed.take_float("at"))
+        else:
+            params = dict(prob=parsed.take_float("p"), tmax=parsed.take_float("tmax"))
+    elif kind == "pause":
+        cls = PauseFaults
+        params = dict(
+            prob=parsed.take_float("p"), tmax=parsed.take_float("tmax"),
+            duration=parsed.take_float("dur"),
+        )
+    elif kind == "slow":
+        cls = SlowdownFaults
+        params = dict(
+            prob=parsed.take_float("p"), tmax=parsed.take_float("tmax"),
+            factor=parsed.take_float("factor"),
+        )
+    elif kind == "spike":
+        cls = LinkSpikeFaults
+        params = dict(prob=parsed.take_float("p"), delay=parsed.take_float("delay"))
+    else:
+        raise ValueError(
+            f"unknown fault kind {kind!r}; available: crash, pause, slow, spike, none"
+        )
+    parsed.finish()
+    return cls(**params)

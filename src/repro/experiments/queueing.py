@@ -26,8 +26,8 @@ taken over the *completed* jobs — a failed job has no meaningful sojourn
 time.  Fault-free streams complete every job, so their metrics (and
 their golden bytes) are unchanged.
 
-Streams run under an active stream-frame fault plane additionally carry
-a :class:`StreamHealthStats` block: failure/resubmission counts, the
+Streams run under a fault model additionally carry a
+:class:`StreamHealthStats` block: failure/resubmission counts, the
 exclusion count, **goodput** (completed jobs' requested work per second
 — work delivered to failed jobs is wasted, not good), and the
 **degraded-capacity utilization** ``live_utilization``, whose
@@ -45,6 +45,7 @@ import typing
 
 from repro.experiments.figures import FigureResult
 from repro.sim.multijob import MultiJobResult, simulate_stream
+from repro.workloads.arrivals import PoissonArrivals, make_arrival_process
 
 if typing.TYPE_CHECKING:
     from repro.platform.spec import PlatformSpec
@@ -65,9 +66,8 @@ __all__ = [
 class StreamHealthStats:
     """Fault-plane summary of one stream (see module docstring).
 
-    Present only for streams run under an active ``fault_frame="stream"``
-    plane; fault-free metrics carry ``health=None`` and serialize without
-    the block.
+    Present only for streams run under a fault model; fault-free metrics
+    carry ``health=None`` and serialize without the block.
     """
 
     jobs_failed: int
@@ -115,8 +115,8 @@ def _mean(values: typing.Sequence[float]) -> float:
 def _health_stats(
     stream: MultiJobResult, horizon: float, busy: float
 ) -> "StreamHealthStats | None":
-    """The fault-plane block, or ``None`` without an active plane."""
-    if stream.fault_frame != "stream" or stream.fault_spec == "none":
+    """The fault-plane block, or ``None`` for a fault-free stream."""
+    if stream.fault_spec == "none":
         return None
     n = stream.platform.N
     deaths = dict(stream.excluded)
@@ -242,7 +242,6 @@ def run_queueing_sweep(
     seed: int | None = 0,
     engine: str = "fast",
     faults: "typing.Any | None" = None,
-    fault_frame: str = "stream",
     failure_policy: "typing.Any" = "drop",
     stats: "typing.Any | None" = None,
 ) -> QueueingSweepResults:
@@ -251,7 +250,7 @@ def run_queueing_sweep(
     Every cell re-realizes its arrival process from the same ``seed``,
     so policies are compared on *identical* job streams — the queueing
     analogue of the sweep harness's common-random-numbers discipline.
-    ``fault_frame``/``failure_policy`` forward to every cell's
+    ``faults``/``failure_policy`` forward to every cell's
     :func:`~repro.sim.multijob.simulate_stream`; ``stats``, when given a
     :class:`~repro.obs.stats.SweepStats`, accumulates the cells' stream
     health counters for ``repro stats``.
@@ -269,7 +268,6 @@ def run_queueing_sweep(
                 policy=policy,
                 engine=engine,
                 faults=faults,
-                fault_frame=fault_frame,
                 failure_policy=failure_policy,
             )
             metrics[(arrival_spec, policy)] = queueing_metrics(stream)
@@ -291,22 +289,10 @@ def run_queueing_sweep(
 def _arrival_axis(arrival_specs: typing.Sequence[str]) -> tuple[float, ...]:
     """X-axis values for a figure: Poisson rates when every spec has one,
     otherwise the spec indices."""
-    rates = []
-    for spec in arrival_specs:
-        rate = None
-        kind, _, body = spec.partition(":")
-        if kind.strip() == "poisson":
-            for part in body.split(","):
-                key, _, value = part.partition("=")
-                if key.strip() == "rate":
-                    try:
-                        rate = float(value)
-                    except ValueError:
-                        rate = None
-        if rate is None:
-            return tuple(float(i) for i in range(len(arrival_specs)))
-        rates.append(rate)
-    return tuple(rates)
+    processes = [make_arrival_process(spec) for spec in arrival_specs]
+    if all(isinstance(p, PoissonArrivals) for p in processes):
+        return tuple(p.rate for p in processes)
+    return tuple(float(i) for i in range(len(arrival_specs)))
 
 
 def queueing_figure(

@@ -59,6 +59,7 @@ import math
 import typing
 
 from repro.platform.spec import PlatformSpec, WorkerSpec
+from repro.spec import Spec, format_number
 
 __all__ = [
     "TopologyError",
@@ -223,11 +224,6 @@ class Topology:
                 f"{self} declares n={self.n} workers but the platform has "
                 f"N={platform.N}"
             )
-
-
-def _num(value: float) -> str:
-    """Canonical spec spelling of a number (round-trips through float)."""
-    return repr(value) if value != int(value) else str(int(value))
 
 
 def _harmonic_B(rates: typing.Iterable[float]) -> float:
@@ -453,57 +449,18 @@ class SharedBandwidthTopology(Topology):
         )
 
     def __str__(self) -> str:
-        parts = [f"cap={_num(self.cap)}"]
+        parts = [f"cap={format_number(self.cap)}"]
         if self.n is not None:
             parts.append(f"n={self.n}")
         return "sharedbw:" + ",".join(parts)
 
 
-def _parse_params(body: str, kind: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    body = body.strip()
-    if not body:
-        return params
-    for item in body.split(","):
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise TopologyError(
-                f"malformed parameter {item!r} in topology spec kind {kind!r}"
-            )
-        if key in params:
-            raise TopologyError(f"duplicate parameter {key!r} in {kind!r} spec")
-        params[key] = value
-    return params
-
-
-def _take_int(params: dict[str, str], kind: str, name: str) -> int | None:
-    raw = params.pop(name, None)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise TopologyError(
-            f"{kind} parameter {name}={raw!r} is not an integer"
-        ) from None
-
-
-def _take_float(params: dict[str, str], kind: str, name: str) -> float | None:
-    raw = params.pop(name, None)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise TopologyError(f"{kind} parameter {name}={raw!r} is not a number") from None
-
-
 def make_topology(spec: "str | Topology | None") -> Topology:
     """Parse a topology spec string (or pass a :class:`Topology` through).
 
-    The grammar mirrors the fault grammar: ``kind:key=value,key=value``.
-    ``None``, ``""`` and ``"star"`` all mean the plain star.  Examples::
+    The grammar is the shared one of :mod:`repro.spec`,
+    ``kind:key=value,key=value``; ``None``, ``""`` and ``"star"`` all
+    mean the plain star.  Examples::
 
         star                 chain:n=8,relay=sf     chain:relay=ct
         tree:fanout=4        sharedbw:cap=30        star:n=20
@@ -519,31 +476,29 @@ def make_topology(spec: "str | Topology | None") -> Topology:
     text = spec.strip()
     if not text:
         return StarTopology()
-    kind, _, body = text.partition(":")
-    kind = kind.strip().lower()
-    params = _parse_params(body, kind)
+    parsed = Spec(text, "topology", TopologyError)
+    kind = parsed.kind
     if kind == "star":
-        topo: Topology = StarTopology(n=_take_int(params, kind, "n"))
+        topo: Topology = StarTopology(n=parsed.take_int("n", None))
     elif kind == "chain":
-        n = _take_int(params, kind, "n")
-        relay = params.pop("relay", "sf")
-        topo = ChainTopology(n=n, relay=relay)
+        topo = ChainTopology(
+            n=parsed.take_int("n", None), relay=parsed.take_str("relay", "sf")
+        )
     elif kind == "tree":
-        fanout = _take_int(params, kind, "fanout")
-        if fanout is None:
+        if "fanout" not in parsed:
             raise TopologyError("tree topology requires fanout=<int>")
-        topo = TreeTopology(fanout=fanout, n=_take_int(params, kind, "n"))
+        topo = TreeTopology(
+            fanout=parsed.take_int("fanout"), n=parsed.take_int("n", None)
+        )
     elif kind == "sharedbw":
-        cap = _take_float(params, kind, "cap")
-        if cap is None:
+        if "cap" not in parsed:
             raise TopologyError("sharedbw topology requires cap=<rate>")
-        topo = SharedBandwidthTopology(cap=cap, n=_take_int(params, kind, "n"))
+        topo = SharedBandwidthTopology(
+            cap=parsed.take_float("cap"), n=parsed.take_int("n", None)
+        )
     else:
         raise TopologyError(
             f"unknown topology kind {kind!r}; known: {', '.join(TOPOLOGY_KINDS)}"
         )
-    if params:
-        raise TopologyError(
-            f"unknown {kind} parameter(s): {', '.join(sorted(params))}"
-        )
+    parsed.finish()
     return topo

@@ -48,8 +48,7 @@ bitwise conformance of the degenerate cases).
 
 Faults in streams
 -----------------
-Under the default ``fault_frame="stream"`` the fault model is realized
-**once** on the absolute stream clock (a :class:`~repro.errors.faults.
+The fault model is realized **once** on the absolute stream clock (a :class:`~repro.errors.faults.
 StreamFaultSchedule`, sampled from the stream seed's third spawned RNG
 child) and each service grant sees the *projection* of that one timeline
 into its own frame: crash/pause/slowdown state carries across jobs, and
@@ -61,13 +60,9 @@ never deadlocked — under a pluggable :class:`JobFailurePolicy`
 (``drop`` / ``retry`` with deterministic backoff / ``resubmit`` the
 undelivered remainder to the surviving workers).
 
-The legacy behavior — each per-job ``simulate()`` call re-realizing the
-fault model relative to its *own* start, so a permanently crashed worker
-resurrects for the next job, and (with ``policy="partitioned"``) worker
-indices are sampled against the per-job *subset* so "worker 3" names a
-different machine per job — is kept behind the explicit
-``fault_frame="job"`` escape hatch.  Fault-free streams take the exact
-pre-fault-plane code path and stay bitwise identical either way.
+Every policy has this one admission path.  A fault-free stream runs it
+with no timeline: every worker stays live, every grant delivers its
+work, and no failure policy is ever consulted.
 """
 
 from __future__ import annotations
@@ -83,6 +78,7 @@ from repro.errors.rng import stream_for
 from repro.obs.events import SimEvent, canonical_order, events_from_result
 from repro.platform.spec import PlatformSpec
 from repro.sim.result import SimResult
+from repro.spec import Spec, format_number
 from repro.workloads.arrivals import ArrivalProcess, JobArrival, make_arrival_process
 
 __all__ = [
@@ -105,7 +101,7 @@ __all__ = [
 #: ``run_job(job, work, workers, seed, start) -> SimResult`` — the
 #: callback a policy uses to grant the (sub-)star to one job's slice.
 #: ``start`` is the grant's absolute stream time (the fault plane
-#: projects its timeline at that offset; fault-free runs ignore it).
+#: projects its timeline at that offset).
 JobRunner = typing.Callable[
     [JobArrival, float, tuple[int, ...], "int | None", float], SimResult
 ]
@@ -121,10 +117,9 @@ class JobRecord:
     ``results`` holds the engine-native, job-relative simulation results
     (one per service slice — FCFS and partitioned grant exactly one per
     attempt); ``slice_starts`` places each slice on the stream's
-    absolute timeline.  ``slice_workers``, when non-empty, gives the
-    *global* worker indices each slice actually ran on (fault-plane
-    streams shrink the live set as workers die); when empty, every slice
-    ran on ``workers``.  ``failed`` marks a job its failure policy gave
+    absolute timeline and ``slice_workers`` gives the *global* worker
+    indices each slice actually ran on (a subset of ``workers`` once
+    health has excluded dead workers).  ``failed`` marks a job its failure policy gave
     up on (``failure`` names the reason); ``attempts`` counts service
     grants (including failed ones), ``resubmissions`` counts
     resubmit-to-survivors re-grants.
@@ -136,17 +131,11 @@ class JobRecord:
     workers: tuple[int, ...]
     results: tuple[SimResult, ...]
     slice_starts: tuple[float, ...]
-    slice_workers: tuple[tuple[int, ...], ...] = ()
+    slice_workers: tuple[tuple[int, ...], ...]
     failed: bool = False
     failure: str = ""
     attempts: int = 1
     resubmissions: int = 0
-
-    def workers_for_slice(self, index: int) -> tuple[int, ...]:
-        """Global worker indices slice ``index`` ran on."""
-        if self.slice_workers:
-            return self.slice_workers[index]
-        return self.workers
 
     # -- queueing quantities --------------------------------------------------
     @property
@@ -193,8 +182,8 @@ class MultiJobResult:
 
     ``jobs`` is ordered by service order (arrival order under every
     in-tree policy).  Per-job engine results stay job-relative; the
-    stream-level timeline is in each :class:`JobRecord`.  Fault-plane
-    streams additionally carry the stream-level event substream
+    stream-level timeline is in each :class:`JobRecord`.  Faulty streams
+    additionally carry the stream-level event substream
     (``stream_events``: ``worker_excluded`` / ``job_failed`` /
     ``job_resubmitted``) and the health tracker's exclusion ledger
     (``excluded``: ``(worker, crash_time)`` pairs, sorted by time).
@@ -206,7 +195,6 @@ class MultiJobResult:
     engine: str
     seed: int | None
     jobs: tuple[JobRecord, ...]
-    fault_frame: str = "stream"
     failure_policy: str = "drop"
     fault_spec: str = "none"
     stream_events: tuple[SimEvent, ...] = ()
@@ -320,10 +308,9 @@ class MultiJobResult:
                              detail=self.scheduler_name)
                 )
             if include_sim:
-                for i, (offset, result) in enumerate(
-                    zip(rec.slice_starts, rec.results)
+                for offset, result, slice_workers in zip(
+                    rec.slice_starts, rec.results, rec.slice_workers
                 ):
-                    slice_workers = rec.workers_for_slice(i)
                     for e in events_from_result(result):
                         worker = slice_workers[e.worker] if e.worker >= 0 else e.worker
                         chunk = e.chunk + chunk_offset if e.chunk >= 0 else e.chunk
@@ -469,7 +456,8 @@ class JobFailurePolicy:
       surviving workers instead of re-running from scratch.
     """
 
-    #: Spec-style name (recorded on the stream result).
+    #: Canonical spec (recorded on the stream result);
+    #: ``make_failure_policy(p.name) == p``.
     name: str = "policy"
     max_attempts: int = 1
 
@@ -522,7 +510,12 @@ class RetryFailurePolicy(JobFailurePolicy):
 
     @property
     def name(self) -> str:  # type: ignore[override]
-        return f"retry:attempts={self.max_attempts}"
+        return (
+            f"retry:attempts={self.max_attempts},"
+            f"backoff={format_number(self.backoff_base)},"
+            f"mult={format_number(self.backoff_multiplier)},"
+            f"jitter={format_number(self.jitter_fraction)}"
+        )
 
     def backoff(self, attempt: int, seed: "int | None" = None) -> float:
         delay = self.backoff_base * self.backoff_multiplier ** (attempt - 1)
@@ -570,76 +563,45 @@ def make_failure_policy(spec: "str | JobFailurePolicy") -> JobFailurePolicy:
         raise TypeError(
             f"failure policy spec must be a string, got {type(spec).__name__}"
         )
-    kind, _, body = spec.strip().partition(":")
-    kind = kind.strip()
-    params: dict[str, float] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed failure-policy parameter {part!r} in {spec!r}")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"failure-policy parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
-    def _int(name: str, default: int) -> int:
-        raw = params.pop(name, float(default))
-        if raw != int(raw):
-            raise ValueError(f"failure-policy parameter {name!r} must be integral")
-        return int(raw)
+    parsed = Spec(spec, "failure-policy")
+    kind = parsed.kind
     if kind == "drop":
-        if params:
-            raise ValueError(f"drop takes no parameters, got {sorted(params)}")
-        return DropFailurePolicy()
-    if kind == "retry":
-        policy: JobFailurePolicy = RetryFailurePolicy(
-            max_attempts=_int("attempts", 3),
-            backoff_base=params.pop("backoff", 1.0),
-            backoff_multiplier=params.pop("mult", 2.0),
-            jitter_fraction=params.pop("jitter", 0.25),
+        policy: JobFailurePolicy = DropFailurePolicy()
+    elif kind == "retry":
+        policy = RetryFailurePolicy(
+            max_attempts=parsed.take_int("attempts", 3),
+            backoff_base=parsed.take_float("backoff", 1.0),
+            backoff_multiplier=parsed.take_float("mult", 2.0),
+            jitter_fraction=parsed.take_float("jitter", 0.25),
         )
-        if params:
-            raise ValueError(f"unknown parameter(s) for retry: {sorted(params)}")
-        return policy
-    if kind == "resubmit":
-        policy = ResubmitFailurePolicy(max_attempts=_int("attempts", 4))
-        if params:
-            raise ValueError(f"unknown parameter(s) for resubmit: {sorted(params)}")
-        return policy
-    raise ValueError(
-        f"unknown failure policy {kind!r}; available: drop, retry, resubmit"
-    )
+    elif kind == "resubmit":
+        policy = ResubmitFailurePolicy(max_attempts=parsed.take_int("attempts", 4))
+    else:
+        raise ValueError(
+            f"unknown failure policy {kind!r}; available: drop, retry, resubmit"
+        )
+    parsed.finish()
+    return policy
 
 
 class _StreamRuntime:
     """Per-call coordinator threading the fault plane through a policy.
 
-    Bundles the realized stream timeline, the health tracker, and the
-    failure policy; collects the job-level stream-fault events.  With no
-    plane (fault-free streams, or ``fault_frame="job"``) it is inert and
-    the policies take the exact legacy code path.
+    Bundles the health tracker and the failure policy; collects the
+    job-level stream-fault events.  On a fault-free stream the tracker
+    has no timeline, so every worker stays live and nothing is recorded.
     """
 
     def __init__(
         self,
-        plane: "StreamFaultSchedule | None",
         health: PlatformHealth,
         failure: JobFailurePolicy,
         policy_name: str,
     ) -> None:
-        self.plane = plane
         self.health = health
         self.failure = failure
         self.policy_name = policy_name
         self.events: list[SimEvent] = []
-
-    @property
-    def active(self) -> bool:
-        return self.plane is not None
 
     def fail(self, job: JobArrival, when: float, reason: str) -> None:
         self.events.append(
@@ -667,7 +629,7 @@ def _attempt_seed(seed: "int | None", attempt: int) -> int:
 
 
 def _serve_exclusive(
-    rt: "_StreamRuntime | None",
+    rt: _StreamRuntime,
     job: JobArrival,
     candidates: tuple[int, ...],
     start: float,
@@ -679,18 +641,8 @@ def _serve_exclusive(
     The shared FCFS/partitioned grant loop: admission-time health
     filtering, delivery-shortfall detection, and the failure policy's
     retry/resubmit machinery.  Returns the record plus the instant the
-    candidate set becomes free again.  Without an active fault plane
-    this is exactly the legacy single-grant path.
+    candidate set becomes free again.
     """
-    if rt is None or not rt.active:
-        result = run_job(job, job.work, candidates, seed0, start)
-        finish = start + result.makespan
-        record = JobRecord(
-            job=job, start=start, finish=finish, workers=candidates,
-            results=(result,), slice_starts=(start,),
-        )
-        return record, finish
-
     attempts = 0
     resubmissions = 0
     t = start
@@ -759,9 +711,8 @@ class StreamPolicy:
     trace sorted by ``(time, job_id)`` plus a :data:`JobRunner` callback
     and returns one :class:`JobRecord` per job; all simulation goes
     through the callback, so policies never touch engines directly.
-    ``stream`` carries the fault-plane runtime (health tracker + failure
-    policy); ``None`` or an inactive runtime selects the exact legacy
-    fault-free path.
+    ``stream`` carries the health tracker and the failure policy that
+    admission consults.
     """
 
     #: Spec-style name (used as the ``phase`` label of job events).
@@ -773,7 +724,7 @@ class StreamPolicy:
         jobs: tuple[JobArrival, ...],
         run_job: JobRunner,
         job_seed: typing.Callable[[JobArrival], "int | None"],
-        stream: "_StreamRuntime | None" = None,
+        stream: _StreamRuntime,
     ) -> tuple[JobRecord, ...]:
         raise NotImplementedError
 
@@ -784,7 +735,7 @@ class FCFSPolicy(StreamPolicy):
 
     name = "fcfs"
 
-    def run(self, platform, jobs, run_job, job_seed, stream=None):
+    def run(self, platform, jobs, run_job, job_seed, stream):
         workers = tuple(range(platform.N))
         records: list[JobRecord] = []
         free = 0.0
@@ -804,11 +755,10 @@ class PartitionedPolicy(StreamPolicy):
     Workers are split into ``parts`` contiguous, size-balanced groups
     (larger groups first); each job is assigned to the partition that can
     start it earliest, ties to the lowest partition index.  ``parts=1``
-    degenerates to :class:`FCFSPolicy`.  Under an active fault plane,
-    partitions whose workers are all dead at their candidate start are
-    skipped (degradation-aware admission); if every partition is dead
-    the earliest one is nominally assigned and the failure policy fails
-    the job there.
+    degenerates to :class:`FCFSPolicy`.  Partitions whose workers are
+    all dead at their candidate start are skipped (degradation-aware
+    admission); if every partition is dead the earliest one is nominally
+    assigned and the failure policy fails the job there.
     """
 
     parts: int = 2
@@ -835,21 +785,15 @@ class PartitionedPolicy(StreamPolicy):
             cursor += size
         return tuple(groups)
 
-    def run(self, platform, jobs, run_job, job_seed, stream=None):
+    def run(self, platform, jobs, run_job, job_seed, stream):
         groups = self.partitions(platform)
         free = [0.0] * len(groups)
         records: list[JobRecord] = []
-        faulty = stream is not None and stream.active
         for job in jobs:
             starts = [max(job.time, f) for f in free]
             indices = range(len(groups))
-            if faulty:
-                viable = [
-                    i for i in indices if stream.health.live(groups[i], starts[i])
-                ]
-                part = min(viable or indices, key=lambda i: (starts[i], i))
-            else:
-                part = min(indices, key=lambda i: (starts[i], i))
+            viable = [i for i in indices if stream.health.live(groups[i], starts[i])]
+            part = min(viable or indices, key=lambda i: (starts[i], i))
             record, busy = _serve_exclusive(
                 stream, job, groups[part], starts[part], run_job, job_seed(job)
             )
@@ -886,10 +830,10 @@ class InterleavedPolicy(StreamPolicy):
     rotation; when no job is active, time jumps to the next arrival.
     ``slices=1`` degenerates to :class:`FCFSPolicy`.
 
-    Under an active fault plane each slice grant goes to the live
-    workers only; a failed slice is re-served at the job's next rotation
-    turn (the rotation itself provides the retry spacing, so the failure
-    policy's backoff delays are not added), and a wholly dead star fails
+    Each slice grant goes to the live workers only; a failed slice is
+    re-served at the job's next rotation turn (the rotation itself
+    provides the retry spacing, so the failure policy's backoff delays
+    are not added), and a wholly dead star fails
     jobs immediately — crashes are permanent, so waiting cannot help and
     the rotation must not idle-spin.
     """
@@ -914,58 +858,7 @@ class InterleavedPolicy(StreamPolicy):
             return (work,)
         return (per,) * (self.slices - 1) + (tail,)
 
-    def run(self, platform, jobs, run_job, job_seed, stream=None):
-        if stream is not None and stream.active:
-            return self._run_faulty(platform, jobs, run_job, job_seed, stream)
-        workers = tuple(range(platform.N))
-        pending = list(jobs)  # sorted by (time, job_id)
-        # Active entry: [job, seed, remaining sizes, next slice index,
-        #                start (None until first slice), slice_starts, results]
-        active: list[list] = []
-        done: dict[int, JobRecord] = {}
-        t = 0.0
-        rr = 0
-
-        def admit(now: float) -> None:
-            while pending and pending[0].time <= now:
-                job = pending.pop(0)
-                active.append(
-                    [job, job_seed(job), list(self.slice_sizes(job.work)), 0,
-                     None, [], []]
-                )
-
-        admit(t)
-        while pending or active:
-            if not active:
-                t = max(t, pending[0].time)
-                admit(t)
-                rr = 0
-            entry = active[rr % len(active)]
-            job, seed, sizes, k, start, slice_starts, results = entry
-            size = sizes.pop(0)
-            slice_seed = seed if self.slices == 1 else _slice_seed(seed, k)
-            result = run_job(job, size, workers, slice_seed, t)
-            if start is None:
-                entry[4] = t
-            entry[3] = k + 1
-            slice_starts.append(t)
-            results.append(result)
-            t += result.makespan
-            idx = rr % len(active)
-            if not sizes:
-                done[job.job_id] = JobRecord(
-                    job=job, start=entry[4], finish=t, workers=workers,
-                    results=tuple(results), slice_starts=tuple(slice_starts),
-                )
-                active.pop(idx)
-                rr = idx  # the next entry slid into this slot
-            else:
-                rr = idx + 1
-            admit(t)
-        return tuple(done[job.job_id] for job in jobs)
-
-    def _run_faulty(self, platform, jobs, run_job, job_seed, rt):
-        """The fault-plane rotation (see class docstring)."""
+    def run(self, platform, jobs, run_job, job_seed, stream):
         workers = tuple(range(platform.N))
         pending = list(jobs)
         active: list[_InterleavedEntry] = []
@@ -983,7 +876,7 @@ class InterleavedPolicy(StreamPolicy):
                 )
 
         def fail(entry: _InterleavedEntry, when: float, reason: str) -> None:
-            rt.fail(entry.job, when, reason)
+            stream.fail(entry.job, when, reason)
             done[entry.job.job_id] = JobRecord(
                 job=entry.job,
                 start=entry.start if entry.start is not None else when,
@@ -1002,7 +895,7 @@ class InterleavedPolicy(StreamPolicy):
                 rr = 0
             idx = rr % len(active)
             entry = active[idx]
-            live = rt.health.live(workers, t)
+            live = stream.health.live(workers, t)
             if not live:
                 fail(entry, t, "no-live-workers")
                 active.pop(idx)
@@ -1015,7 +908,7 @@ class InterleavedPolicy(StreamPolicy):
                 base, entry.slice_fails
             )
             result = run_job(entry.job, size, live, seed_k, t)
-            rt.health.observe_slice(live, t, result)
+            stream.health.observe_slice(live, t, result)
             entry.grants += 1
             if entry.start is None:
                 entry.start = t
@@ -1042,20 +935,20 @@ class InterleavedPolicy(StreamPolicy):
                     rr = idx + 1
             else:
                 entry.slice_fails += 1
-                if entry.slice_fails >= rt.failure.max_attempts:
+                if entry.slice_fails >= stream.failure.max_attempts:
                     reason = (
                         "delivery-shortfall"
-                        if rt.failure.max_attempts == 1
+                        if stream.failure.max_attempts == 1
                         else "attempts-exhausted"
                     )
                     fail(entry, t, reason)
                     active.pop(idx)
                     rr = idx
                 else:
-                    if rt.failure.resubmits:
+                    if stream.failure.resubmits:
                         entry.sizes[0] = size - delivered
                         entry.resubs += 1
-                        rt.resubmit(
+                        stream.resubmit(
                             entry.job, t, entry.sizes[0],
                             attempt=entry.slice_fails + 1,
                         )
@@ -1080,42 +973,20 @@ def make_stream_policy(spec: "str | StreamPolicy") -> StreamPolicy:
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"policy spec must be a string, got {type(spec).__name__}")
-    kind, _, body = spec.strip().partition(":")
-    kind = kind.strip()
-    params: dict[str, int] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed policy parameter {part!r} in {spec!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(
-                f"policy parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
-        if number != int(number):
-            raise ValueError(f"policy parameter {key.strip()!r} must be integral")
-        params[key.strip()] = int(number)
+    parsed = Spec(spec, "policy")
+    kind = parsed.kind
     if kind == "fcfs":
-        if params:
-            raise ValueError(f"fcfs takes no parameters, got {sorted(params)}")
-        return FCFSPolicy()
-    if kind == "partitioned":
-        parts = params.pop("parts", 2)
-        if params:
-            raise ValueError(f"unknown parameter(s) for partitioned: {sorted(params)}")
-        return PartitionedPolicy(parts=parts)
-    if kind == "interleaved":
-        slices = params.pop("slices", 4)
-        if params:
-            raise ValueError(f"unknown parameter(s) for interleaved: {sorted(params)}")
-        return InterleavedPolicy(slices=slices)
-    raise ValueError(
-        f"unknown stream policy {kind!r}; available: fcfs, partitioned, interleaved"
-    )
+        policy: StreamPolicy = FCFSPolicy()
+    elif kind == "partitioned":
+        policy = PartitionedPolicy(parts=parsed.take_int("parts", 2))
+    elif kind == "interleaved":
+        policy = InterleavedPolicy(slices=parsed.take_int("slices", 4))
+    else:
+        raise ValueError(
+            f"unknown stream policy {kind!r}; available: fcfs, partitioned, interleaved"
+        )
+    parsed.finish()
+    return policy
 
 
 # -- the stream front door ----------------------------------------------------
@@ -1129,7 +1000,6 @@ def simulate_stream(
     policy: "StreamPolicy | str" = "fcfs",
     engine: str = "fast",
     faults: "typing.Any | None" = None,
-    fault_frame: str = "stream",
     failure_policy: "JobFailurePolicy | str" = "drop",
     topology: "typing.Any | None" = None,
     error_model_factory: "typing.Callable[[], ErrorModel] | None" = None,
@@ -1157,10 +1027,9 @@ def simulate_stream(
         schedulers receive it as their error estimate.
     seed:
         Stream-level seed: realizes an :class:`ArrivalProcess`, derives
-        the per-job seeds of arrivals that carry ``seed=None``, and —
-        under ``fault_frame="stream"`` — realizes the one stream fault
-        timeline (from its third spawned RNG child, the engines' fault
-        stream discipline).
+        the per-job seeds of arrivals that carry ``seed=None``, and
+        realizes the one stream fault timeline (from its third spawned
+        RNG child, the engines' fault stream discipline).
     policy:
         Inter-job policy (see :func:`make_stream_policy`).
     engine:
@@ -1168,23 +1037,14 @@ def simulate_stream(
         call.
     faults:
         Fault model or spec (see :func:`~repro.errors.faults.
-        make_fault_model`).  How it is realized depends on
-        ``fault_frame``.
-    fault_frame:
-        ``"stream"`` (default): realize **one** timeline on the absolute
-        stream clock and project it into every grant — crashes persist
-        across jobs, the health tracker excludes dead workers at
-        admission, and ``failure_policy`` governs jobs that cannot
-        finish.  ``"job"``: the legacy escape hatch — every per-job
-        ``simulate()`` re-realizes the model relative to its own start,
-        so a crashed worker resurrects for the next job; with subset
-        policies the realization samples indices against the *subset*,
-        so "worker 3" names a different machine per job.  Fault-free
-        streams are bitwise identical under both frames.
+        make_fault_model`), realized as **one** timeline on the absolute
+        stream clock and projected into every grant: crashes persist
+        across jobs and the health tracker excludes dead workers at
+        admission.
     failure_policy:
         What to do with a grant that cannot run or falls short (see
-        :func:`make_failure_policy`); only consulted under an active
-        ``fault_frame="stream"`` plane.
+        :func:`make_failure_policy`); never consulted on a fault-free
+        stream.
     topology:
         Interconnect spec forwarded to every per-job ``simulate()``;
         ``sharedbw`` is rejected with ``faults`` (matching the
@@ -1205,10 +1065,6 @@ def simulate_stream(
     from repro.platform.topology import make_topology
     from repro.sim.result import simulate
 
-    if fault_frame not in ("stream", "job"):
-        raise ValueError(
-            f"fault_frame must be 'stream' or 'job', got {fault_frame!r}"
-        )
     fault_model = make_fault_model(faults) if faults is not None else None
     if isinstance(fault_model, NoFaults):
         fault_model = None
@@ -1235,21 +1091,16 @@ def simulate_stream(
             return make_error_model("normal", error)
 
     plane: StreamFaultSchedule | None = None
-    if fault_model is not None and fault_frame == "stream":
+    if fault_model is not None:
         plane = StreamFaultSchedule.realize(fault_model, platform, seed)
         if not plane.any_faults:
             plane = None
     health = PlatformHealth(platform.N, plane)
-    runtime = _StreamRuntime(plane, health, failure, stream_policy.name)
+    runtime = _StreamRuntime(health, failure, stream_policy.name)
 
     def run_job(job, work, workers, job_run_seed, start):
         sub = platform if len(workers) == platform.N else platform.subset(workers)
-        job_faults = faults
-        if plane is not None:
-            job_faults = FrozenFaults(plane.project(workers, start))
-        elif fault_model is not None and fault_frame == "stream":
-            # The stream timeline realized all-clear: authoritative.
-            job_faults = None
+        job_faults = None if plane is None else FrozenFaults(plane.project(workers, start))
         return simulate(
             sub, work, sched, error_model_factory(), seed=job_run_seed,
             engine=engine, faults=job_faults, topology=topology,
@@ -1268,7 +1119,6 @@ def simulate_stream(
         engine=engine,
         seed=seed,
         jobs=records,
-        fault_frame=fault_frame,
         failure_policy=failure.name,
         fault_spec=fault_model.spec if fault_model is not None else "none",
         stream_events=tuple(health.events) + tuple(runtime.events),

@@ -46,6 +46,7 @@ import typing
 import numpy as np
 
 from repro.errors.rng import stream_for
+from repro.spec import Spec
 
 __all__ = [
     "JobArrival",
@@ -285,41 +286,6 @@ def arrivals_from_jsonl(text: str) -> tuple[JobArrival, ...]:
     return tuple(out)
 
 
-# -- spec-string grammar ------------------------------------------------------
-
-def _parse_kv(body: str, kind: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed arrival parameter {part!r} in {kind!r} spec")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"arrival parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
-    return out
-
-
-def _take(params: dict[str, float], kind: str, *names: str, **defaults) -> list[float]:
-    values = []
-    for name in names:
-        if name in params:
-            values.append(params.pop(name))
-        elif name in defaults:
-            values.append(defaults[name])
-        else:
-            raise ValueError(f"arrival spec {kind!r} is missing parameter {name!r}")
-    if params:
-        extra = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for arrival kind {kind!r}: {extra}")
-    return values
-
-
 def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
     """Parse an arrival spec string (see module docstring) into a process.
 
@@ -330,35 +296,33 @@ def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"arrival spec must be a string, got {type(spec).__name__}")
-    kind, sep, body = spec.strip().partition(":")
-    kind = kind.strip()
-    if not sep:
+    parsed = Spec(spec, "arrival")
+    kind = parsed.kind
+    if not parsed.has_body:
         raise ValueError(f"arrival spec {spec!r} has no parameters (expected kind:k=v,…)")
     if kind == "trace":
-        path = body.strip()
+        path = parsed.body
         if not os.path.exists(path):
             raise ValueError(f"arrival trace file not found: {path!r}")
         with open(path, encoding="utf-8") as fh:
             return TraceArrivals(arrivals_from_jsonl(fh.read()))
-    params = _parse_kv(body, kind)
     if kind == "poisson":
-        rate, jobs, work, work_cv = _take(
-            params, kind, "rate", "jobs", "work", "work_cv", work_cv=0.0
+        params = dict(
+            rate=parsed.take_float("rate"), jobs=parsed.take_int("jobs"),
+            work=parsed.take_float("work"), work_cv=parsed.take_float("work_cv", 0.0),
         )
-        if jobs != int(jobs):
-            raise ValueError(f"poisson jobs must be integral, got {jobs}")
-        return PoissonArrivals(rate=rate, jobs=int(jobs), work=work, work_cv=work_cv)
-    if kind == "bursty":
-        bursts, size, gap, work, spread, work_cv = _take(
-            params, kind, "bursts", "size", "gap", "work", "spread", "work_cv",
-            spread=0.0, work_cv=0.0,
+        cls: type[ArrivalProcess] = PoissonArrivals
+    elif kind == "bursty":
+        params = dict(
+            bursts=parsed.take_int("bursts"), size=parsed.take_int("size"),
+            gap=parsed.take_float("gap"), work=parsed.take_float("work"),
+            spread=parsed.take_float("spread", 0.0),
+            work_cv=parsed.take_float("work_cv", 0.0),
         )
-        if bursts != int(bursts) or size != int(size):
-            raise ValueError(f"bursty bursts/size must be integral, got {bursts}/{size}")
-        return BurstyArrivals(
-            bursts=int(bursts), size=int(size), gap=gap, work=work,
-            spread=spread, work_cv=work_cv,
+        cls = BurstyArrivals
+    else:
+        raise ValueError(
+            f"unknown arrival kind {kind!r}; available: poisson, bursty, trace"
         )
-    raise ValueError(
-        f"unknown arrival kind {kind!r}; available: poisson, bursty, trace"
-    )
+    parsed.finish()
+    return cls(**params)

@@ -29,6 +29,14 @@ def platform():
     return homogeneous_platform(6, S=1.0, bandwidth_factor=1.5, cLat=0.1, nLat=0.1)
 
 
+#: The offending token each grammar-defect row's message must name.
+NAMED_TOKENS = {
+    "crash:p=0.2,p=0.9,tmax=10": "duplicate parameter 'p'",
+    "crash:p=0.2,,tmax=10": "empty parameter item",
+    "crash:p=0.2,tmax=inf": "'tmax=inf'",
+}
+
+
 class TestSpecParsing:
     @pytest.mark.parametrize(
         "spec,cls",
@@ -83,10 +91,13 @@ class TestSpecParsing:
             "meteor:p=1",  # unknown kind
             "crash:p=abc,tmax=10",  # non-numeric value
             "crash:p0.2,tmax=10",  # malformed k=v
+            "crash:p=0.2,p=0.9,tmax=10",  # duplicate key
+            "crash:p=0.2,,tmax=10",  # empty item
+            "crash:p=0.2,tmax=inf",  # non-finite number
         ],
     )
     def test_invalid_specs_raise(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=NAMED_TOKENS.get(bad)):
             make_fault_model(bad)
 
     def test_non_string_rejected(self):

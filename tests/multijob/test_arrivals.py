@@ -147,6 +147,14 @@ class TestTraceArrivals:
             arrivals_from_jsonl('{"job_id":0,"time":0.0}\n')
 
 
+#: The offending token each grammar-defect row's message must name.
+NAMED_TOKENS = {
+    "poisson:rate=1,jobs=3,jobs=9,work=1": "duplicate parameter 'jobs'",
+    "poisson:rate=1,jobs=inf,work=1": "'jobs=inf'",
+    "poisson:rate=inf,jobs=3,work=1": "'rate=inf'",
+}
+
+
 class TestSpecGrammar:
     def test_poisson_spec(self):
         p = make_arrival_process("poisson:rate=0.02,jobs=8,work=200")
@@ -174,10 +182,13 @@ class TestSpecGrammar:
             "trace:/nonexistent/arrivals.jsonl",
             "weibull:rate=1",
             "poisson",                           # no parameters at all
+            "poisson:rate=1,jobs=3,jobs=9,work=1",  # duplicate key
+            "poisson:rate=1,jobs=inf,work=1",    # non-finite integer
+            "poisson:rate=inf,jobs=3,work=1",    # non-finite number
         ],
     )
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=NAMED_TOKENS.get(spec)):
             make_arrival_process(spec)
 
     def test_process_passes_through(self):

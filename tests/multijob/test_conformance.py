@@ -55,15 +55,22 @@ def one_job_stream(platform, scheduler, faults=None, engine="fast", policy="fcfs
 @pytest.mark.parametrize("scheduler", available_schedulers())
 @pytest.mark.parametrize("faults", FAULT_SPECS, ids=lambda s: s or "none")
 def test_one_job_stream_bitwise_equals_simulate(platform, scheduler, faults):
-    # The legacy job frame: every per-job simulate() re-realizes the
-    # fault model in its own frame, so a 1-job stream is exactly a
-    # single run.  Fault-free streams take this path under both frames.
+    # The stream timeline (realized from the *stream* seed) projected
+    # into the job's frame, handed to a single run as a frozen schedule,
+    # must be bitwise what the stream recorded — for every scheduler
+    # and fault kind.  Fault-free, the stream is a plain single run.
+    stream_seed = 11
+    frozen = None
+    if faults is not None:
+        plane = StreamFaultSchedule.realize(
+            make_fault_model(faults), platform, stream_seed
+        )
+        frozen = FrozenFaults(plane.project(range(platform.N), 0.0))
     direct = simulate(
         platform, WORK, make_scheduler(scheduler, 0.0), NoError(),
-        seed=SEED, faults=faults,
+        seed=SEED, faults=frozen,
     )
-    kwargs = {} if faults is None else {"fault_frame": "job"}
-    stream = one_job_stream(platform, scheduler, faults=faults, **kwargs)
+    stream = one_job_stream(platform, scheduler, faults=faults, seed=stream_seed)
     assert stream.num_jobs == 1
     (rec,) = stream.jobs
     assert len(rec.results) == 1
@@ -80,11 +87,10 @@ def test_one_job_stream_bitwise_equals_simulate(platform, scheduler, faults):
 def test_one_job_stream_frame_bitwise_equals_projected_simulate(
     platform, engine, faults
 ):
-    # The stream frame: the one stream timeline (realized from the
-    # *stream* seed's third spawned RNG child) is projected into the
-    # job's frame; a single run handed that exact frozen projection must
-    # be bitwise what the stream recorded — for every fault kind, on
-    # both engines.
+    # The one stream timeline (realized from the *stream* seed's third
+    # spawned RNG child) is projected into the job's frame; a single run
+    # handed that exact frozen projection must be bitwise what the
+    # stream recorded — for every fault kind, on both engines.
     stream_seed = 11
     plane = StreamFaultSchedule.realize(
         make_fault_model(faults), platform, stream_seed
@@ -97,7 +103,6 @@ def test_one_job_stream_frame_bitwise_equals_projected_simulate(
     stream = one_job_stream(
         platform, "RUMR", faults=faults, engine=engine, seed=stream_seed
     )
-    assert stream.fault_frame == "stream"
     (rec,) = stream.jobs
     assert rec.results[0] == direct
     assert rec.work_lost == direct.work_lost

@@ -2,12 +2,9 @@
 
 The acceptance core of the fault plane: a worker that crashes
 permanently during job ``k`` dispatches **zero** chunks to any job
-``j > k`` under the default ``fault_frame="stream"`` — the health
-tracker excludes it at every later admission — while the legacy
-``fault_frame="job"`` escape hatch keeps the old per-job re-realization
-(the crashed worker resurrects).  Around that: the
-:class:`~repro.errors.StreamFaultSchedule` projection arithmetic, the
-three :class:`~repro.sim.multijob.JobFailurePolicy` flavors, the
+``j > k`` — the health tracker excludes it at every later admission.
+Around that: the :class:`~repro.errors.StreamFaultSchedule` projection
+arithmetic, the three :class:`~repro.sim.multijob.JobFailurePolicy` flavors, the
 stream-level event kinds, the guards, and the ``SweepStats`` /
 ``QueueingMetrics`` health surfaces.
 """
@@ -55,7 +52,7 @@ def global_dispatches(stream):
     out = []
     for rec in stream.jobs:
         for i, result in enumerate(rec.results):
-            workers = rec.workers_for_slice(i)
+            workers = rec.slice_workers[i]
             offset = rec.slice_starts[i]
             for r in result.records:
                 out.append((rec.job.job_id, workers[r.worker], offset + r.send_start))
@@ -80,7 +77,6 @@ class TestCrashPersistence:
             platform, jobs_at(0.0, 60.0, 120.0, 180.0), seed=9, policy=policy,
             faults="crash:worker=2,at=5",
         )
-        assert stream.fault_frame == "stream"
         assert 2 in stream.workers_excluded
         for job_id, worker, send_start in global_dispatches(stream):
             if job_id > 0:
@@ -108,24 +104,6 @@ class TestCrashPersistence:
             if job_id == 1:
                 assert worker != 0
         assert stream.jobs_failed == 0  # three survivors carry job 1
-
-    def test_job_frame_escape_hatch_resurrects_the_worker(self, platform):
-        # Legacy frame: the deterministic crash re-realizes at t=5 of
-        # *every* job's own clock, so worker 2 is hit in each job and is
-        # never excluded — the documented legacy behavior.
-        stream = simulate_stream(
-            platform, jobs_at(0.0, 60.0, 120.0), seed=9,
-            faults="crash:worker=2,at=5", fault_frame="job",
-        )
-        assert stream.fault_frame == "job"
-        assert stream.workers_excluded == ()
-        for rec in stream.jobs:
-            assert rec.work_lost > 0  # every job re-loses to the resurrected crash
-
-    def test_fault_free_stream_is_bitwise_identical_across_frames(self, platform):
-        a = simulate_stream(platform, jobs_at(0.0, 40.0), seed=3)
-        b = simulate_stream(platform, jobs_at(0.0, 40.0), seed=3, fault_frame="job")
-        assert a.jobs == b.jobs
 
 
 # -- projection arithmetic ----------------------------------------------------
@@ -332,11 +310,26 @@ class TestSpecsAndGuards:
 
     @pytest.mark.parametrize(
         "spec", ("panic", "retry:attempts=0", "retry:lives=3", "drop:now=1",
-                 "retry:attempts=1.5")
+                 "retry:attempts=1.5",
+                 "retry:attempts=2,attempts=5",  # duplicate key
+                 "retry:attempts=inf",  # non-finite integer
+                 "retry:backoff=nan")  # non-finite number
     )
     def test_make_failure_policy_rejects(self, spec):
-        with pytest.raises(ValueError):
+        named = {
+            "retry:attempts=2,attempts=5": "duplicate parameter 'attempts'",
+            "retry:attempts=inf": "'attempts=inf'",
+            "retry:backoff=nan": "'backoff=nan'",
+        }
+        with pytest.raises(ValueError, match=named.get(spec)):
             make_failure_policy(spec)
+
+    def test_retry_name_is_its_full_canonical_spec(self):
+        # The stream result reports this name: it must name the policy
+        # that ran, every parameter included.
+        policy = make_failure_policy("retry:backoff=40")
+        assert policy.name == "retry:attempts=3,backoff=40,mult=2,jitter=0.25"
+        assert make_failure_policy(policy.name) == policy
 
     def test_retry_jitter_is_deterministic_in_the_seed(self):
         retry = RetryFailurePolicy(jitter_fraction=0.25)
@@ -356,10 +349,6 @@ class TestSpecsAndGuards:
             engine="des",
         )
         assert stream.jobs[0].results[0].topology.startswith("sharedbw")
-
-    def test_stream_rejects_unknown_fault_frame(self, platform):
-        with pytest.raises(ValueError, match="fault_frame"):
-            simulate_stream(platform, jobs_at(0.0), seed=1, fault_frame="relative")
 
 
 # -- metrics and stats surfaces -----------------------------------------------

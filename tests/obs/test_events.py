@@ -1,6 +1,8 @@
 """Unit tests for the event schema, canonical order, and derivations."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -133,3 +135,13 @@ def test_kind_vocabulary_is_closed():
         "job_arrival", "job_start", "job_done",
         "worker_excluded", "job_failed", "job_resubmitted",
     }
+
+
+def test_observability_doc_table_lists_exactly_the_event_kinds():
+    # docs/observability.md documents the vocabulary as a markdown table
+    # whose first column is the backquoted kind; it must not drift from
+    # the code.
+    doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+    rows = re.findall(r"^\| `(\w+)`\s+\|", doc.read_text(encoding="utf-8"), re.MULTILINE)
+    assert len(rows) == len(set(rows)), "duplicate rows in the event table"
+    assert set(rows) == EVENT_KINDS

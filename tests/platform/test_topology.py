@@ -57,6 +57,9 @@ class TestGrammar:
         ("sharedbw:cap=inf", "cap must be finite"),
         ("chain:n=4,n=5", "duplicate parameter"),
         ("chain:relay", "malformed parameter"),
+        ("chain:n=4,,relay=sf", "empty parameter item"),
+        ("sharedbw:cap=nan", "cap must be finite"),
+        ("tree:fanout=inf", "'fanout=inf' is not an integer"),
     ])
     def test_rejects(self, bad, match):
         with pytest.raises(TopologyError, match=match):

@@ -19,9 +19,43 @@ affecting anyone else::
     def test_something(platform, work): ...
 """
 
+import dataclasses
+import typing
+
 from hypothesis import strategies as st
 
-from repro.platform import PlatformSpec, WorkerSpec, homogeneous_platform
+from repro.errors import (
+    CrashFaults,
+    LinkSpikeFaults,
+    PauseFaults,
+    SlowdownFaults,
+    make_fault_model,
+)
+from repro.platform import (
+    ChainTopology,
+    PlatformSpec,
+    SharedBandwidthTopology,
+    StarTopology,
+    TreeTopology,
+    WorkerSpec,
+    homogeneous_platform,
+    make_topology,
+)
+from repro.sim.multijob import (
+    DropFailurePolicy,
+    FCFSPolicy,
+    InterleavedPolicy,
+    PartitionedPolicy,
+    ResubmitFailurePolicy,
+    RetryFailurePolicy,
+    make_failure_policy,
+    make_stream_policy,
+)
+from repro.workloads import (
+    BurstyArrivals,
+    PoissonArrivals,
+    make_arrival_process,
+)
 
 __all__ = [
     "finite",
@@ -32,6 +66,13 @@ __all__ = [
     "workloads",
     "seeds",
     "error_magnitudes",
+    "SpecCase",
+    "fault_spec_cases",
+    "topology_spec_cases",
+    "stream_policy_spec_cases",
+    "failure_policy_spec_cases",
+    "arrival_spec_cases",
+    "spec_cases",
 ]
 
 # Keyword bundle for st.floats: simulator inputs are always finite.
@@ -100,3 +141,125 @@ def seeds(max_value: int = 2**31):
 def error_magnitudes(max_magnitude: float = 0.8):
     """Prediction-error magnitudes (the sweep's epsilon axis)."""
     return st.floats(min_value=0.0, max_value=max_magnitude, **finite)
+
+
+# -- spec strings --------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class SpecCase:
+    """A ``kind[:key=value,...]`` spec built from typed, in-range values.
+
+    ``items`` holds each ``(key, value text, numeric)`` parameter in spec
+    order; ``expected`` is what ``make(text)`` must return.
+    """
+
+    make: typing.Callable[[str], typing.Any]
+    kind: str
+    items: tuple[tuple[str, str, bool], ...]
+    expected: typing.Any
+
+    @property
+    def text(self) -> str:
+        return spec_text(self.kind, [f"{k}={v}" for k, v, _ in self.items])
+
+
+def spec_text(kind: str, items: typing.Sequence[str]) -> str:
+    """Join a kind and its raw parameter items into a spec string."""
+    return f"{kind}:{','.join(items)}" if items else kind
+
+
+def _family(make, kind, cls, **fields):
+    """Cases of one spec kind.
+
+    ``fields`` maps each spec key to ``(constructor argument, value
+    strategy, optional)``; optional keys are sometimes left out, so the
+    constructor default must be what the parser fills in.  Keys come out
+    in a drawn order: the grammar is order-free.
+    """
+
+    @st.composite
+    def cases(draw):
+        kwargs, items = {}, []
+        for key, (arg, values, optional) in fields.items():
+            if optional and draw(st.booleans()):
+                continue
+            value = draw(values)
+            kwargs[arg] = value
+            text = value if isinstance(value, str) else repr(value)
+            items.append((key, text, not isinstance(value, str)))
+        items = draw(st.permutations(items))
+        return SpecCase(make, kind, tuple(items), cls(**kwargs))
+
+    return cases()
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, **finite)
+_horizon = st.floats(min_value=0.0, max_value=1e4, **finite)
+_counts = st.integers(min_value=1, max_value=64)
+_positive = st.floats(min_value=1e-3, max_value=1e4, **finite)
+
+fault_spec_cases = st.one_of(
+    _family(make_fault_model, "crash", CrashFaults,
+            p=("prob", _unit, False), tmax=("tmax", _horizon, False)),
+    _family(make_fault_model, "crash", CrashFaults,
+            worker=("worker", st.integers(0, 64), False), at=("at", _horizon, False)),
+    _family(make_fault_model, "pause", PauseFaults, p=("prob", _unit, False),
+            tmax=("tmax", _horizon, False), dur=("duration", _horizon, False)),
+    _family(make_fault_model, "slow", SlowdownFaults, p=("prob", _unit, False),
+            tmax=("tmax", _horizon, False),
+            factor=("factor", st.floats(1.0, 10.0, **finite), False)),
+    _family(make_fault_model, "spike", LinkSpikeFaults,
+            p=("prob", _unit, False), delay=("delay", _horizon, False)),
+)
+
+topology_spec_cases = st.one_of(
+    _family(make_topology, "star", StarTopology, n=("n", _counts, True)),
+    _family(make_topology, "chain", ChainTopology, n=("n", _counts, True),
+            relay=("relay", st.sampled_from(["sf", "ct"]), True)),
+    _family(make_topology, "tree", TreeTopology,
+            fanout=("fanout", _counts, False), n=("n", _counts, True)),
+    _family(make_topology, "sharedbw", SharedBandwidthTopology,
+            cap=("cap", _positive, False), n=("n", _counts, True)),
+)
+
+stream_policy_spec_cases = st.one_of(
+    _family(make_stream_policy, "fcfs", FCFSPolicy),
+    _family(make_stream_policy, "partitioned", PartitionedPolicy,
+            parts=("parts", _counts, True)),
+    _family(make_stream_policy, "interleaved", InterleavedPolicy,
+            slices=("slices", _counts, True)),
+)
+
+failure_policy_spec_cases = st.one_of(
+    _family(make_failure_policy, "drop", DropFailurePolicy),
+    _family(make_failure_policy, "retry", RetryFailurePolicy,
+            attempts=("max_attempts", _counts, True),
+            backoff=("backoff_base", _horizon, True),
+            mult=("backoff_multiplier", st.floats(1.0, 10.0, **finite), True),
+            jitter=("jitter_fraction",
+                    st.floats(0.0, 1.0, exclude_max=True, **finite), True)),
+    _family(make_failure_policy, "resubmit", ResubmitFailurePolicy,
+            attempts=("max_attempts", _counts, True)),
+)
+
+arrival_spec_cases = st.one_of(
+    _family(make_arrival_process, "poisson", PoissonArrivals,
+            rate=("rate", _positive, False), jobs=("jobs", _counts, False),
+            work=("work", _positive, False),
+            work_cv=("work_cv", st.floats(0.0, 2.0, **finite), True)),
+    _family(make_arrival_process, "bursty", BurstyArrivals,
+            bursts=("bursts", _counts, False), size=("size", _counts, False),
+            gap=("gap", _positive, False), work=("work", _positive, False),
+            spread=("spread", _horizon, True),
+            work_cv=("work_cv", st.floats(0.0, 2.0, **finite), True)),
+)
+
+#: Every spec family the package parses.
+spec_cases = st.one_of(
+    fault_spec_cases,
+    topology_spec_cases,
+    stream_policy_spec_cases,
+    failure_policy_spec_cases,
+    arrival_spec_cases,
+)

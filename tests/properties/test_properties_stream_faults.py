@@ -112,7 +112,7 @@ def test_no_chunk_is_sent_to_an_excluded_worker(
     deaths = dict(stream.excluded)
     for rec in stream.jobs:
         for i, result in enumerate(rec.results):
-            workers = rec.workers_for_slice(i)
+            workers = rec.slice_workers[i]
             offset = rec.slice_starts[i]
             for r in result.records:
                 w = workers[r.worker]
