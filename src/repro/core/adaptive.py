@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import FactoringKernelSpec, FactoringSource
+from repro.core.factoring import FactoringKernelSpec, FactoringSource, check_factor
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
@@ -119,26 +119,25 @@ class OnlineErrorEstimator:
 
 
 class AdaptiveRUMRSource(DispatchSource):
-    """Per-run state of the adaptive scheduler (see module docstring)."""
+    """Per-run state of the adaptive scheduler (see module docstring).
 
-    def __init__(
-        self,
-        platform: PlatformSpec,
-        total_work: float,
-        plan_rounds: list[dict[int, float]],
-        factor: float,
-        min_samples: int,
-    ):
-        self._platform = platform
-        self._total_work = total_work
-        self._rounds = plan_rounds
+    Built from the run's :class:`AdaptiveRUMRKernelSpec`, the binding the
+    lockstep kernel reads too.
+    """
+
+    def __init__(self, spec: "AdaptiveRUMRKernelSpec"):
+        self._spec = spec
+        self._platform = spec.platform
+        self._total_work = spec.total_work
+        self._rounds = [
+            {i: size for i, size in enumerate(row) if size > 0.0}
+            for row in spec.rounds
+        ]
         self._round_cursor = 0
-        self._factor = factor
-        self._min_samples = min_samples
         self._dispatched = 0.0
         self._chunk_sizes: dict[int, float] = {}
         self._next_index = 0
-        self._estimator = OnlineErrorEstimator(platform)
+        self._estimator = OnlineErrorEstimator(spec.platform)
         self._phase2: FactoringSource | None = None
         self.switched_at: float | None = None  # diagnostics
         self.final_estimate: float | None = None
@@ -163,13 +162,11 @@ class AdaptiveRUMRSource(DispatchSource):
         remaining = self._remaining_plan_work()
         self._rounds = []
         self._round_cursor = 0
-        self._phase2 = FactoringSource(
-            n=self._platform.N,
+        self._phase2 = dataclasses.replace(
+            self._spec.phase2,
             total_work=remaining,
-            factor=self._factor,
             min_chunk=phase2_min_chunk(self._platform, estimate, phase2_work=remaining),
-            phase="adaptive-p2",
-        )
+        ).make_source(phase="adaptive-p2")
         self.switched_at = view.now
         self.final_estimate = estimate
 
@@ -180,7 +177,7 @@ class AdaptiveRUMRSource(DispatchSource):
         estimate = self._estimator.estimate()
         if (
             estimate is not None
-            and self._estimator.samples >= self._min_samples
+            and self._estimator.samples >= self._spec.min_samples
             and self._should_switch(estimate)
         ):
             self._switch_to_phase2(view, estimate)
@@ -207,32 +204,35 @@ class AdaptiveRUMRSource(DispatchSource):
 
 @dataclasses.dataclass(frozen=True)
 class AdaptiveRUMRKernelSpec(KernelSpec):
-    """One cell's adaptive-RUMR configuration in lockstep form.
+    """One cell's adaptive-RUMR binding, shared by source and kernel.
 
     ``rounds`` is the dense UMR plan over the *whole* workload;
-    ``clats`` / ``speeds`` carry the per-worker prediction model the
-    online estimator evaluates; ``overhead`` is the platform's
-    ``round_overhead`` (needed by the switch threshold and chunk floor).
-    ``phase2`` is a degenerate zero-workload factoring spec re-armed per
-    row at switch time via :meth:`FactoringKernel.activate_row`.
+    ``platform`` is the prediction model the online estimator evaluates
+    and the switch threshold and chunk floor read.  ``phase2`` is a
+    degenerate zero-workload factoring spec carrying the tail's factor:
+    the scalar source instantiates it at switch time, the kernel re-arms
+    its rows via :meth:`FactoringKernel.activate_row`.
     """
 
-    n: int = 0
-    total_work: float = 0.0
-    rounds: tuple = ()
-    factor: float = 2.0
-    min_samples: int = 8
-    clats: tuple = ()
-    speeds: tuple = ()
-    overhead: float = 0.0
-    phase2: "KernelSpec | None" = None
+    platform: PlatformSpec
+    total_work: float
+    rounds: tuple
+    min_samples: int
+    phase2: FactoringKernelSpec
 
     group_key = ("adaptive-rumr",)
     wants_notes = True
     handles_crashes = True
 
+    @property
+    def n(self) -> int:
+        return self.platform.N
+
     def make_kernel(self, specs, reps, n_max):
         return AdaptiveRUMRKernel(specs, reps, n_max)
+
+    def make_source(self) -> AdaptiveRUMRSource:
+        return AdaptiveRUMRSource(self)
 
 
 class AdaptiveRUMRKernel(LockstepKernel):
@@ -272,8 +272,8 @@ class AdaptiveRUMRKernel(LockstepKernel):
         for i, s in enumerate(specs):
             for j, row in enumerate(s.rounds):
                 sizes[i, j, : s.n] = row
-            clats[i, : s.n] = s.clats
-            speeds[i, : s.n] = s.speeds
+            clats[i, : s.n] = [w.cLat for w in s.platform]
+            speeds[i, : s.n] = [w.S for w in s.platform]
         self._sizes = np.repeat(sizes, reps, axis=0)
         self._avail = self._sizes > 0.0
         self._clat = np.repeat(clats, reps, axis=0)
@@ -284,7 +284,11 @@ class AdaptiveRUMRKernel(LockstepKernel):
         self._cursor = np.zeros(rows, dtype=np.int64)
         self._total = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._n_float = expand_rows([float(s.n) for s in specs], reps, dtype=float)
-        self._overhead = expand_rows([s.overhead for s in specs], reps, dtype=float)
+        self._overhead = expand_rows(
+            [round_overhead(s.platform) for s in specs], reps, dtype=float
+        )
+        self._platforms = [s.platform for s in specs]
+        self._spec_of = np.repeat(np.arange(len(specs)), reps)
         self._min_samples = expand_rows(
             [s.min_samples for s in specs], reps, dtype=np.int64
         )
@@ -313,6 +317,7 @@ class AdaptiveRUMRKernel(LockstepKernel):
         self._total = self._total[keep]
         self._n_float = self._n_float[keep]
         self._overhead = self._overhead[keep]
+        self._spec_of = self._spec_of[keep]
         self._min_samples = self._min_samples[keep]
         self._dispatched = self._dispatched[keep]
         self._est_count = self._est_count[keep]
@@ -388,11 +393,11 @@ class AdaptiveRUMRKernel(LockstepKernel):
                 )
             )
             for r in np.flatnonzero(switch):
-                estimate = float(est[r])
                 pool = float(remaining[r])
-                floor = self._overhead[r] / estimate
-                floor = min(floor, pool / self._n_float[r])
-                self._phase2.activate_row(r, pool, max(floor, 1.0))
+                floor = phase2_min_chunk(
+                    self._platforms[self._spec_of[r]], float(est[r]), phase2_work=pool
+                )
+                self._phase2.activate_row(r, pool, floor)
                 # The scalar switch builds a fresh FactoringSource whose
                 # loss cursor starts at zero: every loss observed since
                 # the run began rejoins the pool, in observation order.
@@ -451,26 +456,11 @@ class AdaptiveRUMR(Scheduler):
     ):
         if min_samples < 2:
             raise ValueError(f"min_samples must be >= 2, got {min_samples}")
-        self.factor = factor
+        self.factor = check_factor(factor)
         self.min_samples = min_samples
         self.umr_method = umr_method
         self.max_rounds = max_rounds
         self.name = "AdaptiveRUMR"
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> AdaptiveRUMRSource:
-        plan = solve_umr(platform, total_work, self.max_rounds, self.umr_method)
-        rounds = [
-            {i: size for i, size in enumerate(row) if size > 0.0}
-            for row in plan.chunk_sizes
-        ]
-        rounds = [r for r in rounds if r]
-        return AdaptiveRUMRSource(
-            platform=platform,
-            total_work=total_work,
-            plan_rounds=rounds,
-            factor=self.factor,
-            min_samples=self.min_samples,
-        )
 
     def batch_kernel(
         self, platform: PlatformSpec, total_work: float
@@ -481,14 +471,10 @@ class AdaptiveRUMR(Scheduler):
             if any(s > 0.0 for s in row):
                 rounds.append(tuple(s if s > 0.0 else 0.0 for s in row))
         return AdaptiveRUMRKernelSpec(
-            n=platform.N,
+            platform=platform,
             total_work=total_work,
             rounds=tuple(rounds),
-            factor=self.factor,
             min_samples=self.min_samples,
-            clats=tuple(w.cLat for w in platform),
-            speeds=tuple(w.S for w in platform),
-            overhead=round_overhead(platform),
             phase2=FactoringKernelSpec(
                 n=platform.N, total_work=0.0, factor=self.factor
             ),

@@ -87,7 +87,7 @@ class Dispatch:
     phase: str = ""
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
+        if not (self.size > 0):
             raise ValueError(f"dispatch size must be > 0, got {self.size}")
 
 
@@ -222,14 +222,20 @@ class StaticPlanSource(DispatchSource):
 class Scheduler:
     """A configured scheduling algorithm.
 
-    Subclasses must implement :meth:`create_source` and set :attr:`name`.
-    Scheduler objects hold only configuration — all per-run state lives in
-    the source — so one scheduler instance can be reused across thousands
-    of simulations.
+    Subclasses set :attr:`name` and either implement :meth:`static_plan`
+    (static schedulers) or :meth:`batch_kernel` (batch-dynamic ones) —
+    :meth:`create_source` binds both kinds to a run — or override
+    :meth:`create_source` directly.  Scheduler objects hold only
+    configuration — all per-run state lives in the source — so one
+    scheduler instance can be reused across thousands of simulations.
     """
 
     #: Human-readable algorithm name (used in reports and plots).
     name: str = "scheduler"
+
+    #: Phase label of a static scheduler's dispatches, formatted with the
+    #: planned chunk's ``round`` index (e.g. ``"umr-round{round}"``).
+    plan_phase: str = ""
 
     #: Whether the dispatch sequence is fixed before the run starts
     #: (independent of observed completions *and* of the error magnitude).
@@ -260,8 +266,22 @@ class Scheduler:
     batch_supports_faults: bool = False
 
     def create_source(self, platform: PlatformSpec, total_work: float) -> DispatchSource:
-        """Bind to one run and return a fresh dispatch source."""
-        raise NotImplementedError
+        """Bind to one run and return a fresh dispatch source.
+
+        A static scheduler replays :meth:`static_plan`; a batch-dynamic one
+        runs the scalar source of its :meth:`batch_kernel` spec, so the
+        scalar and lockstep engines share one binding.  Other schedulers
+        must override this.
+        """
+        if self.is_static:
+            phase = self.plan_phase
+            return StaticPlanSource(
+                Dispatch(c.worker, c.size, phase.format(round=c.round_index))
+                for c in self.static_plan(platform, total_work)
+            )
+        if self.is_batch_dynamic:
+            return self.batch_kernel(platform, total_work).make_source()
+        raise NotImplementedError(f"{self.name} does not implement create_source")
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> "ChunkPlan":
         """The fixed dispatch sequence of a static scheduler.

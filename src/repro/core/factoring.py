@@ -21,6 +21,7 @@ tail does not degenerate into infinitely many vanishing transfers.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -40,6 +41,20 @@ from repro.platform.spec import PlatformSpec
 __all__ = ["Factoring", "FactoringSource", "FactoringKernel", "FactoringKernelSpec"]
 
 
+def check_factor(factor: float) -> float:
+    """Validate a factoring denominator: finite and ``> 1``."""
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ValueError(f"factor must be finite and > 1, got {factor}")
+    return factor
+
+
+def check_min_chunk(min_chunk: float) -> float:
+    """Validate a chunk floor: finite and ``>= 0``."""
+    if not (math.isfinite(min_chunk) and min_chunk >= 0.0):
+        raise ValueError(f"min_chunk must be finite and >= 0, got {min_chunk}")
+    return min_chunk
+
+
 class FactoringSource(DispatchSource):
     """Per-run state of the factoring self-scheduler.
 
@@ -47,14 +62,14 @@ class FactoringSource(DispatchSource):
     ``max(min_chunk, remaining_at_batch_start / (factor · N))`` (capped by
     what is actually left).
 
-    ``lookahead`` controls how far the master may run ahead of worker
-    demand: with the classic self-scheduling value 1, a chunk is only sent
-    to an *idle* worker — faithful to Hummel's model, but on a platform
-    with transfer costs the worker then idles for the whole ``nLat + c/B``
-    transfer (exactly the overlap weakness the paper attributes to
-    factoring).  With ``lookahead = 2`` the master keeps one chunk
-    buffered per worker (double-buffering), restoring overlap while the
-    chunk-size rule stays adaptive; RUMR's phase 2 uses this setting.
+    Classic self-scheduling: a chunk is only sent to an *idle* worker —
+    faithful to Hummel's model, but on a platform with transfer costs the
+    worker then idles for the whole ``nLat + c/B`` transfer (exactly the
+    overlap weakness the paper attributes to factoring, and which RUMR's
+    phase 1 exists to avoid).
+
+    Parameters are validated by the schedulers that bind this source
+    (:class:`Factoring`, and RUMR / AdaptiveRUMR for their tails).
     """
 
     def __init__(
@@ -64,21 +79,13 @@ class FactoringSource(DispatchSource):
         factor: float,
         min_chunk: float,
         phase: str,
-        lookahead: int = 1,
     ):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
-        if min_chunk < 0:
-            raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
         self._n = n
         self._remaining = total_work
         self._epsilon = 1e-12 * max(total_work, 1.0)
         self._factor = factor
         self._min_chunk = min_chunk
         self._phase = phase
-        self._lookahead = lookahead
         self._batch_left = 0  # chunks still to issue in the current batch
         self._batch_size = 0.0
         # Recovery state, touched only when the run's view reports
@@ -124,8 +131,8 @@ class FactoringSource(DispatchSource):
                 return WAIT
             return None
         # Serve the most starved worker (fewest buffered chunks, then least
-        # pending work, then lowest index for determinism) — but only while
-        # it has fewer than `lookahead` chunks outstanding.
+        # pending work, then lowest index for determinism) — but only when
+        # it is idle.
         if crashed:
             crashed_set = set(crashed)
             live = [i for i in range(self._n) if i not in crashed_set]
@@ -141,7 +148,7 @@ class FactoringSource(DispatchSource):
             ]
             n_live = self._n
         pending, _, worker = min(candidates)
-        if pending >= self._lookahead:
+        if pending:
             return WAIT
         size = self._next_size(n_live)
         self._remaining = max(0.0, self._remaining - size)
@@ -160,13 +167,17 @@ class FactoringKernelSpec(KernelSpec):
     total_work: float = 0.0
     factor: float = 2.0
     min_chunk: float = 1.0
-    lookahead: int = 1
 
     group_key = ("factoring",)
     handles_crashes = True
 
     def make_kernel(self, specs, reps, n_max):
         return FactoringKernel(specs, reps, n_max)
+
+    def make_source(self, phase: str = "factoring") -> FactoringSource:
+        return FactoringSource(
+            self.n, self.total_work, self.factor, self.min_chunk, phase
+        )
 
 
 class FactoringKernel(LockstepKernel):
@@ -199,7 +210,6 @@ class FactoringKernel(LockstepKernel):
             [s.factor * s.n for s in specs], reps, dtype=float
         )
         self._min_chunk = expand_rows([s.min_chunk for s in specs], reps, dtype=float)
-        self._lookahead = expand_rows([s.lookahead for s in specs], reps, dtype=np.int64)
         self._batch_left = np.zeros(len(self._rows), dtype=np.int64)
         self._batch_size = np.zeros(len(self._rows))
 
@@ -212,7 +222,6 @@ class FactoringKernel(LockstepKernel):
         self._factor = self._factor[keep]
         self._factor_n = self._factor_n[keep]
         self._min_chunk = self._min_chunk[keep]
-        self._lookahead = self._lookahead[keep]
         self._batch_left = self._batch_left[keep]
         self._batch_size = self._batch_size[keep]
 
@@ -274,7 +283,7 @@ class FactoringKernel(LockstepKernel):
             w = starved_argmin(counts, works)
             factor_n = self._factor_n
             n_batch = self._n
-        wait = live & (counts[self._rows, w] >= self._lookahead)
+        wait = live & (counts[self._rows, w] > 0)
         disp = live & ~wait
         if drain is not None:
             wait = wait | drain
@@ -313,20 +322,9 @@ class Factoring(Scheduler):
     batch_supports_faults = True
 
     def __init__(self, factor: float = 2.0, min_chunk: float = 1.0):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
-        self.factor = factor
-        self.min_chunk = min_chunk
+        self.factor = check_factor(factor)
+        self.min_chunk = check_min_chunk(min_chunk)
         self.name = "Factoring"
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> FactoringSource:
-        return FactoringSource(
-            n=platform.N,
-            total_work=total_work,
-            factor=self.factor,
-            min_chunk=self.min_chunk,
-            phase="factoring",
-        )
 
     def batch_kernel(self, platform: PlatformSpec, total_work: float) -> FactoringKernelSpec:
         return FactoringKernelSpec(
@@ -334,5 +332,4 @@ class Factoring(Scheduler):
             total_work=total_work,
             factor=self.factor,
             min_chunk=self.min_chunk,
-            lookahead=1,
         )

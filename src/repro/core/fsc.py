@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
+from repro.core.factoring import check_min_chunk
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
@@ -76,8 +77,6 @@ class FixedSizeChunkingSource(DispatchSource):
     """Per-run state: equal chunks served to idle workers on demand."""
 
     def __init__(self, n: int, total_work: float, chunk: float, phase: str = "fsc"):
-        if chunk <= 0:
-            raise ValueError(f"chunk size must be > 0, got {chunk}")
         self._remaining = total_work
         self._epsilon = 1e-12 * max(total_work, 1.0)
         self._chunk = chunk
@@ -118,6 +117,9 @@ class FSCKernelSpec(KernelSpec):
         self, specs: "list[FSCKernelSpec]", reps: "list[int]", n_max: int
     ) -> "FSCKernel":
         return FSCKernel(specs, reps, n_max)
+
+    def make_source(self) -> FixedSizeChunkingSource:
+        return FixedSizeChunkingSource(self.n, self.total_work, self.chunk)
 
 
 class FSCKernel(LockstepKernel):
@@ -196,11 +198,11 @@ class FixedSizeChunking(Scheduler):
         known_error: float = 0.0,
         min_chunk: float = 1.0,
     ):
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
+        if chunk_size is not None and not (math.isfinite(chunk_size) and chunk_size > 0):
+            raise ValueError(f"chunk_size must be finite and > 0, got {chunk_size}")
         self.chunk_size = chunk_size
         self.known_error = known_error
-        self.min_chunk = min_chunk
+        self.min_chunk = check_min_chunk(min_chunk)
         self.name = "FSC"
 
     def _chunk_for(self, platform: PlatformSpec, total_work: float) -> float:
@@ -213,12 +215,11 @@ class FixedSizeChunking(Scheduler):
             mean_s = sum(w.S for w in platform) / n
             sigma = self.known_error / mean_s
             chunk = kruskal_weiss_chunk_size(total_work, n, overhead, sigma)
-        chunk = max(chunk, self.min_chunk)
-        return min(chunk, total_work)
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> FixedSizeChunkingSource:
-        chunk = self._chunk_for(platform, total_work)
-        return FixedSizeChunkingSource(platform.N, total_work, chunk)
+        chunk = min(max(chunk, self.min_chunk), total_work)
+        if not chunk > 0:
+            # A zero (or NaN) chunk would never drain the workload.
+            raise ValueError(f"FSC chunk size must be > 0, got {chunk}")
+        return chunk
 
     def batch_kernel(self, platform: PlatformSpec, total_work: float) -> FSCKernelSpec:
         return FSCKernelSpec(

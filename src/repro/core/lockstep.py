@@ -20,7 +20,8 @@ row reproduces the scalar engine's trajectory exactly when fed the same
 perturbation factors.
 
 Kernels are built from :class:`KernelSpec` objects (one per simulated
-cell) by :meth:`KernelSpec.make_kernel`; specs with equal ``group_key``
+cell) by :meth:`KernelSpec.make_kernel`, and the scalar sources from the
+same specs by :meth:`KernelSpec.make_source`; specs with equal ``group_key``
 may be merged into one kernel spanning many cells, padded to a common
 worker count.  Padded worker slots must be made unselectable by the
 *caller*: the engine reports a huge pending-chunk count for them, which
@@ -41,8 +42,12 @@ a divergent recovery trajectory.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 import numpy as np
+
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.base import DispatchSource
 
 __all__ = [
     "DISPATCH",
@@ -143,6 +148,14 @@ class KernelSpec:
     def make_kernel(
         self, specs: "list[KernelSpec]", reps: "list[int]", n_max: int
     ) -> "LockstepKernel":
+        raise NotImplementedError
+
+    def make_source(self) -> "DispatchSource":
+        """The scalar source of this one cell — the reference trajectory.
+
+        :meth:`repro.core.base.Scheduler.create_source` returns this, so
+        the scalar engines and the lockstep kernel read one binding.
+        """
         raise NotImplementedError
 
     def deferred_rows(self, crash_time: np.ndarray) -> "np.ndarray | None":

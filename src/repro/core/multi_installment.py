@@ -39,7 +39,7 @@ import functools
 
 import numpy as np
 
-from repro.core.base import Dispatch, Scheduler, StaticPlanSource
+from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.platform.spec import PlatformSpec
 
@@ -185,6 +185,7 @@ class MultiInstallment(Scheduler):
 
     is_static = True
     batch_supports_faults = True
+    plan_phase = "mi-round{round}"
 
     def schedule(self, platform: PlatformSpec, total_work: float) -> MISchedule:
         """Solve and return the full installment table."""
@@ -192,11 +193,3 @@ class MultiInstallment(Scheduler):
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return self.schedule(platform, total_work).to_chunk_plan()
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        schedule = self.schedule(platform, total_work)
-        dispatches = [
-            Dispatch(worker=c.worker, size=c.size, phase=f"mi-round{c.round_index}")
-            for c in schedule.to_chunk_plan()
-        ]
-        return StaticPlanSource(dispatches)

@@ -13,7 +13,7 @@ Two baselines:
 
 from __future__ import annotations
 
-from repro.core.base import Dispatch, Scheduler, StaticPlanSource
+from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.core.multi_installment import solve_multi_installment
 from repro.platform.spec import PlatformSpec
@@ -29,6 +29,7 @@ class OneRound(Scheduler):
 
     is_static = True
     batch_supports_faults = True
+    plan_phase = "one-round"
 
     def chunk_sizes(self, platform: PlatformSpec, total_work: float) -> tuple[float, ...]:
         """Per-worker loads, in dispatch order (decreasing on homogeneous)."""
@@ -41,14 +42,6 @@ class OneRound(Scheduler):
             if s > 0.0
         )
 
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        sizes = self.chunk_sizes(platform, total_work)
-        return StaticPlanSource(
-            Dispatch(worker=i, size=s, phase="one-round")
-            for i, s in enumerate(sizes)
-            if s > 0.0
-        )
-
 
 class EqualSplit(Scheduler):
     """Naive baseline: every worker gets ``W / N`` in a single round."""
@@ -58,6 +51,7 @@ class EqualSplit(Scheduler):
 
     is_static = True
     batch_supports_faults = True
+    plan_phase = "equal-split"
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return self.plan(platform, total_work)
@@ -67,10 +61,4 @@ class EqualSplit(Scheduler):
         share = total_work / platform.N
         return ChunkPlan(
             PlannedChunk(worker=i, size=share, round_index=0) for i in range(platform.N)
-        )
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        return StaticPlanSource(
-            Dispatch(worker=c.worker, size=c.size, phase="equal-split")
-            for c in self.plan(platform, total_work)
         )

@@ -36,13 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import FactoringKernelSpec, FactoringSource
+from repro.core.factoring import FactoringKernelSpec, FactoringSource, check_factor
 from repro.core.lockstep import DISPATCH, KernelSpec, LockstepKernel, expand_rows
-from repro.core.umr import MAX_ROUNDS, UMRPlan, solve_umr
+from repro.core.umr import MAX_ROUNDS, solve_umr
+from repro.core.weighted_factoring import WeightedFactoringKernelSpec, speed_weights
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -123,11 +125,13 @@ def phase2_min_chunk(
 class RUMRSource(DispatchSource):
     """Per-run state: an eager phase-1 plan chained into a factoring tail.
 
-    Fault recovery (active only when the run's view reports
-    ``faults_possible``, and only when the binding ``scheduler`` /
-    ``platform`` / ``total_work`` references were provided):
+    Built from the run's :class:`RUMRKernelSpec` — the same binding the
+    lockstep kernel reads.  A zero-work ``spec.phase2`` means no phase 2.
 
-    * A crash observed *before anything was dispatched* rebuilds the whole
+    Fault recovery (active only when the run's view reports
+    ``faults_possible``):
+
+    * A crash observed *before anything was dispatched* rebinds the whole
       schedule on the surviving sub-platform — the run is then equivalent
       to starting on a platform without the dead worker.
     * A crash observed mid-phase-1 abandons the remaining UMR rounds (the
@@ -140,33 +144,26 @@ class RUMRSource(DispatchSource):
       re-absorbs announced losses, including losses of phase-1 chunks).
     """
 
-    def __init__(
-        self,
-        plan: UMRPlan | None,
-        phase2: DispatchSource | None,
-        out_of_order: bool,
-        scheduler: "RUMR | None" = None,
-        platform: PlatformSpec | None = None,
-        total_work: float = 0.0,
-    ):
-        self._out_of_order = out_of_order
-        self._phase2 = phase2
-        # Phase-1 rounds as mutable [round][worker -> size] maps, so the
-        # greedy variant can reorder sends within the current round.
-        self._rounds: list[dict[int, float]] = []
-        if plan is not None:
-            for j, row in enumerate(plan.chunk_sizes):
-                entries = {i: size for i, size in enumerate(row) if size > 0.0}
-                if entries:
-                    self._rounds.append(entries)
-        self._round_cursor = 0
-        self.plan = plan
-        self._scheduler = scheduler
-        self._platform = platform
-        self._total_work = total_work
+    def __init__(self, spec: "RUMRKernelSpec"):
+        self._load(spec)
         self._dispatched_gross = 0.0  # every dispatch, delivered or lost
         self._known_crashed: tuple[int, ...] = ()
         self._fallback: FactoringSource | None = None
+
+    def _load(self, spec: "RUMRKernelSpec") -> None:
+        self._spec = spec
+        # Phase-1 rounds as mutable [round][worker -> size] maps, so the
+        # greedy variant can reorder sends within the current round.
+        self._rounds = [
+            {i: size for i, size in enumerate(row) if size > 0.0}
+            for row in spec.rounds
+        ]
+        self._round_cursor = 0
+        self._phase2 = (
+            spec.phase2.make_source(phase="rumr-p2")
+            if spec.phase2.total_work > 0
+            else None
+        )
 
     @property
     def in_phase1(self) -> bool:
@@ -175,7 +172,7 @@ class RUMRSource(DispatchSource):
 
     def _pick_phase1_worker(self, view: MasterView, pending: dict[int, float]) -> int:
         ordered = sorted(pending)
-        if not self._out_of_order:
+        if not self._spec.scheduler.out_of_order:
             return ordered[0]
         idle = [i for i in ordered if view.is_idle(i)]
         if idle:
@@ -185,54 +182,34 @@ class RUMRSource(DispatchSource):
         return ordered[0]
 
     def _make_recovery_tail(self, pool: float, live: "list[int]") -> FactoringSource:
-        scheduler = self._scheduler
-        assert scheduler is not None and self._platform is not None
-        sub = self._platform.subset(live) if live else self._platform
+        spec = self._spec
+        scheduler = spec.scheduler
         return FactoringSource(
-            n=self._platform.N,
+            n=spec.n,
             total_work=pool,
             factor=scheduler.factor,
-            min_chunk=scheduler.min_chunk(sub, phase2_work=pool if pool > 0 else None),
+            min_chunk=scheduler.recovery_min_chunk(spec.platform, live, pool),
             phase="rumr-recovery",
-            lookahead=1,
         )
 
     def _on_crash(self, view: MasterView, crashed: tuple[int, ...]) -> None:
         self._known_crashed = crashed
-        if not self.in_phase1 or self._scheduler is None or self._platform is None:
+        if not self.in_phase1:
             # Phase-2 / fallback sources handle crashes themselves.
             return
+        spec = self._spec
         crashed_set = set(crashed)
-        live = [i for i in range(self._platform.N) if i not in crashed_set]
+        live = [i for i in range(spec.n) if i not in crashed_set]
         if self._dispatched_gross == 0.0:
-            # Nothing committed yet: replan from scratch on the survivors,
-            # as if the platform never had the dead workers.
-            self._rounds = []
-            self._round_cursor = 0
-            self._phase2 = None
-            if not live:
-                return
-            sub = self._platform.subset(live)
-            scheduler = self._scheduler
-            w1, w2 = scheduler.split(sub, self._total_work)
-            if w1 > 0:
-                plan = solve_umr(sub, w1, scheduler.max_rounds, scheduler.umr_method)
-                self.plan = plan
-                for row in plan.chunk_sizes:
-                    entries = {
-                        live[j]: size for j, size in enumerate(row) if size > 0.0
-                    }
-                    if entries:
-                        self._rounds.append(entries)
-            if w2 > 0:
-                self._phase2 = FactoringSource(
-                    n=self._platform.N,
-                    total_work=w2,
-                    factor=scheduler.factor,
-                    min_chunk=scheduler.min_chunk(sub, phase2_work=w2),
-                    phase="rumr-p2",
-                    lookahead=1,
+            # Nothing committed yet: rebind on the survivors, as if the
+            # platform never had the dead workers.
+            if live:
+                self._load(
+                    spec.scheduler.batch_kernel(spec.platform, spec.total_work, live)
                 )
+            else:
+                self._rounds = []
+                self._phase2 = None
         else:
             # Mid-phase-1 crash: the UMR rounds assumed the dead worker's
             # throughput, so abandon the plan and fall back to factoring
@@ -241,7 +218,7 @@ class RUMRSource(DispatchSource):
             self._rounds = []
             self._round_cursor = 0
             self._phase2 = None
-            pool = max(0.0, self._total_work - self._dispatched_gross)
+            pool = max(0.0, spec.total_work - self._dispatched_gross)
             self._fallback = self._make_recovery_tail(pool, live)
 
     def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
@@ -270,12 +247,12 @@ class RUMRSource(DispatchSource):
             if isinstance(action, Dispatch):
                 self._dispatched_gross += action.size
             return action
-        if view.faults_possible and self._scheduler is not None and self._platform is not None:
+        if view.faults_possible:
             # Pure-UMR tail under faults: keep a zero-pool recovery source
             # alive so work lost after the last planned dispatch is still
             # re-dispatched rather than abandoned.
             crashed_set = set(view.crashed_workers())
-            live = [i for i in range(self._platform.N) if i not in crashed_set]
+            live = [i for i in range(self._spec.n) if i not in crashed_set]
             self._fallback = self._make_recovery_tail(0.0, live)
             action = self._fallback.next_dispatch(view)
             if isinstance(action, Dispatch):
@@ -286,25 +263,26 @@ class RUMRSource(DispatchSource):
 
 @dataclasses.dataclass(frozen=True)
 class RUMRKernelSpec(KernelSpec):
-    """One cell's RUMR state in lockstep form.
+    """One cell's RUMR binding, shared by the scalar source and the kernel.
 
     ``rounds`` holds the phase-1 plan as dense per-round size rows
     (zeros for workers with nothing in that round); ``phase2`` is always
     present — a zero-workload factoring spec stands in for a skipped
     phase 2, so the skip condition does not fracture the group.
-    ``total_work`` / ``clats`` / ``nlats`` / ``known_error`` carry the
-    scheduler binding the scalar source uses for crash recovery (the
-    undispatched pool and the survivor-platform chunk floor).
+    ``scheduler`` / ``platform`` / ``total_work`` are the binding crash
+    recovery re-derives from: the undispatched pool, the survivors'
+    chunk floor and the replan on the survivors.
     """
 
-    n: int = 0
-    rounds: tuple = ()
-    out_of_order: bool = True
-    phase2: "KernelSpec | None" = None
-    total_work: float = 0.0
-    clats: tuple = ()
-    nlats: tuple = ()
-    known_error: "float | None" = None
+    scheduler: "RUMR"
+    platform: PlatformSpec
+    total_work: float
+    rounds: tuple
+    phase2: KernelSpec
+
+    @property
+    def n(self) -> int:
+        return self.platform.N
 
     @property
     def group_key(self):
@@ -334,6 +312,9 @@ class RUMRKernelSpec(KernelSpec):
 
     def make_kernel(self, specs, reps, n_max):
         return RUMRKernel(specs, reps, n_max)
+
+    def make_source(self) -> RUMRSource:
+        return RUMRSource(self)
 
 
 class RUMRKernel(LockstepKernel):
@@ -374,7 +355,9 @@ class RUMRKernel(LockstepKernel):
         self._num_rounds = expand_rows(
             [len(s.rounds) for s in specs], reps, dtype=np.int64
         )
-        self._ooo = expand_rows([s.out_of_order for s in specs], reps, dtype=bool)
+        self._ooo = expand_rows(
+            [s.scheduler.out_of_order for s in specs], reps, dtype=bool
+        )
         self._any_ooo = bool(self._ooo.any())
         self._cursor = np.zeros(rows, dtype=np.int64)
         self._specs = list(specs)
@@ -406,28 +389,6 @@ class RUMRKernel(LockstepKernel):
         self._armed = self._armed[keep]
         self._phase2.compact(keep)
 
-    def _recovery_min_chunk(self, r, crashed_row, pool):
-        """``phase2_min_chunk`` on the survivors, scalar operation order.
-
-        Reproduces ``RUMRSource._make_recovery_tail``'s floor: the round
-        overhead of ``platform.subset(live)`` (the full platform when
-        every worker is gone), divided by the known error when given,
-        capped at the per-survivor pool share when ``pool`` is positive.
-        """
-        spec = self._specs[self._spec_of[r]]
-        live = [
-            j for j in range(spec.n) if crashed_row is None or not crashed_row[j]
-        ]
-        idxs = live if live else range(spec.n)
-        n_sub = len(live) if live else spec.n
-        mean_clat = sum(spec.clats[j] for j in idxs) / n_sub
-        overhead = mean_clat + sum(spec.nlats[j] for j in idxs)
-        e = spec.known_error
-        floor = overhead / e if (e is not None and e > 0) else overhead
-        if pool is not None and pool > 0:
-            floor = min(floor, pool / n_sub)
-        return max(floor, 1.0)
-
     def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
         if ctx is not None and ctx.crashed is not None and ctx.crashed.any():
             # Mid-phase-1 crash: abandon the remaining rounds and fall
@@ -438,10 +399,10 @@ class RUMRKernel(LockstepKernel):
             if mask is not None:
                 hit &= mask
             for r in np.flatnonzero(hit):
+                spec = self._specs[self._spec_of[r]]
                 pool = max(0.0, float(self._total[r]) - float(self._gross[r]))
-                mc = self._recovery_min_chunk(
-                    r, ctx.crashed[r], pool if pool > 0 else None
-                )
+                live = np.flatnonzero(~ctx.crashed[r, : spec.n]).tolist()
+                mc = spec.scheduler.recovery_min_chunk(spec.platform, live, pool)
                 self._phase2.activate_row(int(r), pool, mc)
                 self._cursor[r] = self._num_rounds[r]
                 self._armed[r] = True
@@ -461,8 +422,13 @@ class RUMRKernel(LockstepKernel):
             if arm.any():
                 crashed = ctx.crashed
                 for r in np.flatnonzero(arm):
-                    row = crashed[r] if crashed is not None else None
-                    mc = self._recovery_min_chunk(r, row, None)
+                    spec = self._specs[self._spec_of[r]]
+                    live = (
+                        range(spec.n)
+                        if crashed is None
+                        else np.flatnonzero(~crashed[r, : spec.n]).tolist()
+                    )
+                    mc = spec.scheduler.recovery_min_chunk(spec.platform, live, 0.0)
                     self._phase2.activate_row(int(r), 0.0, mc)
                     self._armed[r] = True
         if in_p1.any():
@@ -544,7 +510,7 @@ class RUMR(Scheduler):
         self.phase1_fraction = phase1_fraction
         self.out_of_order = out_of_order
         self.threshold_rule = threshold_rule
-        self.factor = factor
+        self.factor = check_factor(factor)
         self.umr_method = umr_method
         self.max_rounds = max_rounds
         self.unknown_phase1_fraction = unknown_phase1_fraction
@@ -571,74 +537,57 @@ class RUMR(Scheduler):
         """The phase-2 chunk floor for a platform (optionally pool-capped)."""
         return phase2_min_chunk(platform, self.known_error, phase2_work=phase2_work)
 
-    def create_source(self, platform: PlatformSpec, total_work: float) -> RUMRSource:
-        w1, w2 = self.split(platform, total_work)
-        plan = None
-        if w1 > 0:
-            plan = solve_umr(platform, w1, self.max_rounds, self.umr_method)
-        phase2 = None
-        if w2 > 0:
-            # Classic self-scheduling lookahead of 1: committing chunks to
-            # workers early (double-buffering) was measured to cost more in
-            # lost adaptivity than it recovers in overlap — see the
-            # lookahead ablation benchmark.
-            if self.phase2_weighted:
-                from repro.core.weighted_factoring import WeightedFactoringSource
+    def recovery_min_chunk(
+        self, platform: PlatformSpec, live: "typing.Sequence[int]", pool: float
+    ) -> float:
+        """Chunk floor of a crash-recovery tail over ``pool`` units.
 
-                phase2 = WeightedFactoringSource(
-                    platform=platform,
-                    total_work=w2,
-                    factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    phase="rumr-p2",
-                    lookahead=1,
-                )
-            else:
-                phase2 = FactoringSource(
-                    n=platform.N,
-                    total_work=w2,
-                    factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    phase="rumr-p2",
-                    lookahead=1,
-                )
-        return RUMRSource(
-            plan=plan,
-            phase2=phase2,
-            out_of_order=self.out_of_order,
-            scheduler=self,
-            platform=platform,
-            total_work=total_work,
-        )
+        The phase-2 floor of the survivors ``platform.subset(live)`` (the
+        whole platform once every worker is gone), capped at the
+        survivors' share of a positive pool.
+        """
+        sub = platform.subset(live) if live else platform
+        return self.min_chunk(sub, phase2_work=pool)
 
-    def batch_kernel(self, platform: PlatformSpec, total_work: float) -> RUMRKernelSpec:
-        w1, w2 = self.split(platform, total_work)
+    def batch_kernel(
+        self,
+        platform: PlatformSpec,
+        total_work: float,
+        live: "typing.Sequence[int] | None" = None,
+    ) -> RUMRKernelSpec:
+        """The run binding, optionally restricted to the survivors ``live``.
+
+        The split, the phase-1 plan and the phase-2 chunk floor are solved
+        on ``platform.subset(live)``; the plan's columns are spread back
+        onto the ids of ``platform``, whose observed-crashed workers the
+        phase-2 source skips.  ``live=None`` binds the whole platform.
+        """
+        sub = platform if live is None else platform.subset(live)
+        cols = range(platform.N) if live is None else live
+        w1, w2 = self.split(sub, total_work)
         rounds = []
         if w1 > 0:
-            plan = solve_umr(platform, w1, self.max_rounds, self.umr_method)
+            plan = solve_umr(sub, w1, self.max_rounds, self.umr_method)
             for row in plan.chunk_sizes:
                 if any(s > 0.0 for s in row):
-                    rounds.append(tuple(s if s > 0.0 else 0.0 for s in row))
+                    dense = [0.0] * platform.N
+                    for j, size in zip(cols, row):
+                        if size > 0.0:
+                            dense[j] = size
+                    rounds.append(tuple(dense))
         if w2 > 0:
+            min_chunk = self.min_chunk(sub, phase2_work=w2)
             if self.phase2_weighted:
-                from repro.core.weighted_factoring import WeightedFactoringKernelSpec
-
-                s_tot = platform.total_compute_rate()
                 phase2 = WeightedFactoringKernelSpec(
                     n=platform.N,
                     total_work=w2,
                     factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    lookahead=1,
-                    weights=tuple(w.S / s_tot for w in platform),
+                    min_chunk=min_chunk,
+                    weights=speed_weights(platform),
                 )
             else:
                 phase2 = FactoringKernelSpec(
-                    n=platform.N,
-                    total_work=w2,
-                    factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    lookahead=1,
+                    n=platform.N, total_work=w2, factor=self.factor, min_chunk=min_chunk
                 )
         else:
             # Skipped phase 2: a zero-workload factoring slot that crash
@@ -648,12 +597,9 @@ class RUMR(Scheduler):
                 n=platform.N, total_work=0.0, factor=self.factor
             )
         return RUMRKernelSpec(
-            n=platform.N,
-            rounds=tuple(rounds),
-            out_of_order=self.out_of_order,
-            phase2=phase2,
+            scheduler=self,
+            platform=platform,
             total_work=total_work,
-            clats=tuple(w.cLat for w in platform),
-            nlats=tuple(w.nLat for w in platform),
-            known_error=self.known_error,
+            rounds=tuple(rounds),
+            phase2=phase2,
         )

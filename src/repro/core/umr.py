@@ -40,7 +40,7 @@ import dataclasses
 import functools
 import math
 
-from repro.core.base import Dispatch, Scheduler, StaticPlanSource
+from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.platform.spec import PlatformSpec
 
@@ -503,6 +503,7 @@ class UMR(Scheduler):
 
     is_static = True
     batch_supports_faults = True
+    plan_phase = "umr-round{round}"
 
     def plan(self, platform: PlatformSpec, total_work: float) -> UMRPlan:
         """Solve and return the full :class:`UMRPlan`."""
@@ -512,11 +513,3 @@ class UMR(Scheduler):
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return self.plan(platform, total_work).to_chunk_plan()
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        plan = self.plan(platform, total_work)
-        dispatches = [
-            Dispatch(worker=c.worker, size=c.size, phase=f"umr-round{c.round_index}")
-            for c in plan.to_chunk_plan()
-        ]
-        return StaticPlanSource(dispatches)

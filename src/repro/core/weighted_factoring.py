@@ -30,6 +30,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
+from repro.core.factoring import check_factor, check_min_chunk
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
@@ -47,36 +48,38 @@ __all__ = [
     "WeightedFactoringSource",
     "WeightedFactoringKernel",
     "WeightedFactoringKernelSpec",
+    "speed_weights",
 ]
 
 
+def speed_weights(platform: PlatformSpec) -> tuple[float, ...]:
+    """Each worker's share ``S_i / ΣS`` of the platform's compute rate."""
+    s_tot = platform.total_compute_rate()
+    return tuple(w.S / s_tot for w in platform)
+
+
 class WeightedFactoringSource(DispatchSource):
-    """Per-run state: starved-first dispatch with speed-weighted sizes."""
+    """Per-run state: starved-first dispatch with speed-weighted sizes.
+
+    ``weights`` are the workers' :func:`speed_weights`; parameters are
+    validated by the binding scheduler.
+    """
 
     def __init__(
         self,
-        platform: PlatformSpec,
+        weights: "tuple[float, ...]",
         total_work: float,
         factor: float,
         min_chunk: float,
-        phase: str = "weighted-factoring",
-        lookahead: int = 1,
+        phase: str,
     ):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
-        if min_chunk < 0:
-            raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        self._n = platform.N
-        s_tot = platform.total_compute_rate()
-        self._weights = [w.S / s_tot for w in platform]
+        self._n = len(weights)
+        self._weights = weights
         self._remaining = total_work
         self._epsilon = 1e-12 * max(total_work, 1.0)
         self._factor = factor
         self._min_chunk = min_chunk
         self._phase = phase
-        self._lookahead = lookahead
         self._loss_cursor = 0
 
     @property
@@ -121,7 +124,7 @@ class WeightedFactoringSource(DispatchSource):
                 (view.pending_chunks(i), view.pending_work(i), i) for i in live
             ]
             pending, _, worker = min(candidates)
-            if pending >= self._lookahead:
+            if pending:
                 return WAIT
             live_weight = sum(self._weights[i] for i in live)
             weight = self._weights[worker] / live_weight
@@ -131,7 +134,7 @@ class WeightedFactoringSource(DispatchSource):
                 (view.pending_chunks(i), view.pending_work(i), i) for i in range(self._n)
             ]
             pending, _, worker = min(candidates)
-            if pending >= self._lookahead:
+            if pending:
                 return WAIT
             size = self._size_for(worker, self._weights[worker], self._n)
         self._remaining = max(0.0, self._remaining - size)
@@ -146,7 +149,6 @@ class WeightedFactoringKernelSpec(KernelSpec):
     total_work: float = 0.0
     factor: float = 2.0
     min_chunk: float = 1.0
-    lookahead: int = 1
     weights: tuple = ()
 
     group_key = ("weighted-factoring",)
@@ -154,6 +156,11 @@ class WeightedFactoringKernelSpec(KernelSpec):
 
     def make_kernel(self, specs, reps, n_max):
         return WeightedFactoringKernel(specs, reps, n_max)
+
+    def make_source(self, phase: str = "weighted-factoring") -> WeightedFactoringSource:
+        return WeightedFactoringSource(
+            self.weights, self.total_work, self.factor, self.min_chunk, phase
+        )
 
 
 class WeightedFactoringKernel(LockstepKernel):
@@ -186,7 +193,6 @@ class WeightedFactoringKernel(LockstepKernel):
         ).repeat(reps)
         self._factor = expand_rows([s.factor for s in specs], reps, dtype=float)
         self._min_chunk = expand_rows([s.min_chunk for s in specs], reps, dtype=float)
-        self._lookahead = expand_rows([s.lookahead for s in specs], reps, dtype=np.int64)
         padded = np.zeros((len(specs), n_max))
         for i, s in enumerate(specs):
             padded[i, : s.n] = s.weights
@@ -199,7 +205,6 @@ class WeightedFactoringKernel(LockstepKernel):
         self._epsilon = self._epsilon[keep]
         self._factor = self._factor[keep]
         self._min_chunk = self._min_chunk[keep]
-        self._lookahead = self._lookahead[keep]
         self._weights = self._weights[keep]
 
     def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
@@ -228,7 +233,7 @@ class WeightedFactoringKernel(LockstepKernel):
         if crashed is not None and crashed.any():
             # Crashed workers leave the candidate set exactly like the
             # scalar live-list scan: a pad-sized pending count can never
-            # win the argmin nor look below the lookahead.
+            # win the argmin nor look idle.
             counts_eff = np.where(crashed, PAD_PENDING, counts)
             n_live = self._n_float - crashed.sum(axis=1)
             has_crash = live & crashed.any(axis=1)
@@ -238,7 +243,7 @@ class WeightedFactoringKernel(LockstepKernel):
                 has_crash = has_crash & ~dead
                 action[dead] = DONE
         w = starved_argmin(counts_eff, works)
-        wait = live & (counts_eff[self._rows, w] >= self._lookahead)
+        wait = live & (counts_eff[self._rows, w] > 0)
         disp = live & ~wait
         if drain is not None:
             wait = wait | drain
@@ -275,29 +280,17 @@ class WeightedFactoring(Scheduler):
     batch_supports_faults = True
 
     def __init__(self, factor: float = 2.0, min_chunk: float = 1.0):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
-        self.factor = factor
-        self.min_chunk = min_chunk
+        self.factor = check_factor(factor)
+        self.min_chunk = check_min_chunk(min_chunk)
         self.name = "WeightedFactoring"
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> WeightedFactoringSource:
-        return WeightedFactoringSource(
-            platform=platform,
-            total_work=total_work,
-            factor=self.factor,
-            min_chunk=self.min_chunk,
-        )
 
     def batch_kernel(
         self, platform: PlatformSpec, total_work: float
     ) -> WeightedFactoringKernelSpec:
-        s_tot = platform.total_compute_rate()
         return WeightedFactoringKernelSpec(
             n=platform.N,
             total_work=total_work,
             factor=self.factor,
             min_chunk=self.min_chunk,
-            lookahead=1,
-            weights=tuple(w.S / s_tot for w in platform),
+            weights=speed_weights(platform),
         )

@@ -151,6 +151,11 @@ class TestAdaptiveRUMR:
         with pytest.raises(ValueError):
             AdaptiveRUMR(min_samples=1)
 
+    def test_factor_validation(self):
+        for factor in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="factor"):
+                AdaptiveRUMR(factor=factor)
+
     def test_registered(self):
         from repro.core import available_schedulers, make_scheduler
 

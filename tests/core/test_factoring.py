@@ -55,14 +55,14 @@ class TestBatchRule:
         assert result.records[0].size == pytest.approx(W / 16)
 
     def test_bad_factor_rejected(self):
-        with pytest.raises(ValueError):
-            Factoring(factor=1.0)
-        with pytest.raises(ValueError):
-            FactoringSource(4, W, factor=0.5, min_chunk=1.0, phase="x")
+        for factor in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="factor"):
+                Factoring(factor=factor)
 
     def test_negative_min_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            FactoringSource(4, W, factor=2.0, min_chunk=-1.0, phase="x")
+        for min_chunk in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="min_chunk"):
+                Factoring(min_chunk=min_chunk)
 
 
 class TestSelfScheduling:

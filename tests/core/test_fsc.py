@@ -67,8 +67,12 @@ class TestScheduler:
         validate_schedule(result)
 
     def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            FixedSizeChunking(chunk_size=0.0)
+        for chunk_size in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="chunk_size"):
+                FixedSizeChunking(chunk_size=chunk_size)
+        for min_chunk in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="min_chunk"):
+                FixedSizeChunking(min_chunk=min_chunk)
 
     def test_chunk_never_exceeds_workload(self):
         result = simulate(platform(), 10.0, FixedSizeChunking(chunk_size=1e9))

@@ -1,10 +1,14 @@
 """Tests for RUMR: phase split, chunk floor, dispatch behaviour."""
 
+import math
+
 import pytest
 
 from repro.core import UMR, Factoring, RUMR
 from repro.core.rumr import phase2_min_chunk, phase2_workload, round_overhead
 from repro.errors import NoError, NormalErrorModel
+from repro.errors.faults import FaultSchedule, FrozenFaults
+from repro.experiments.hetero import heterogeneous_platform_family
 from repro.platform import homogeneous_platform
 from repro.sim import simulate, validate_schedule
 
@@ -176,11 +180,42 @@ class TestValidation:
         with pytest.raises(ValueError):
             RUMR(unknown_phase1_fraction=-0.2)
 
+    def test_bad_factor_rejected(self):
+        for factor in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="factor"):
+                RUMR(known_error=0.3, factor=factor)
+
     def test_work_conservation_across_settings(self):
         p = platform(cLat=0.2, nLat=0.05)
         for err in (0.0, 0.1, 0.3, 0.7, 1.0, 2.0):
             result = simulate(p, W, RUMR(known_error=err), NormalErrorModel(0.3), seed=1)
             assert result.dispatched_work == pytest.approx(W, rel=1e-6)
+
+
+class TestCrashReplan:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_crash_at_zero_equals_fresh_run_on_survivors(self, weighted):
+        # A crash observed before the first dispatch rebinds the whole run
+        # (split, plan and phase-2 kind) on the survivors, so it must match
+        # a fresh run on the sub-platform with worker ids remapped.
+        p = heterogeneous_platform_family(8, 1.0, seed=5)
+        live = [i for i in range(p.N) if i != 3]
+        faults = FrozenFaults(
+            FaultSchedule(
+                crash_times=tuple(0.0 if i == 3 else math.inf for i in range(p.N)),
+                pauses=((0.0, 0.0),) * p.N,
+                slowdowns=((0.0, 1.0),) * p.N,
+            )
+        )
+        sched = RUMR(known_error=0.3, phase2_weighted=weighted)
+        crashed = simulate(p, W, sched, NoError(), seed=1, faults=faults)
+        fresh = simulate(p.subset(live), W, sched, NoError(), seed=1)
+        assert [r.worker for r in crashed.records] == [
+            live[r.worker] for r in fresh.records
+        ]
+        assert math.isclose(crashed.makespan, fresh.makespan, rel_tol=1e-9)
+        if not weighted:
+            assert crashed.makespan == fresh.makespan
 
 
 class TestRobustnessStory:

@@ -75,14 +75,12 @@ class TestWeightedBatches:
         assert mean(WeightedFactoring()) < mean(Factoring())
 
     def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedFactoring(factor=1.0)
-        from repro.core.weighted_factoring import WeightedFactoringSource
-
-        with pytest.raises(ValueError):
-            WeightedFactoringSource(hetero(), W, factor=2.0, min_chunk=-1.0)
-        with pytest.raises(ValueError):
-            WeightedFactoringSource(hetero(), W, factor=2.0, min_chunk=1.0, lookahead=0)
+        for factor in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="factor"):
+                WeightedFactoring(factor=factor)
+        for min_chunk in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="min_chunk"):
+                WeightedFactoring(min_chunk=min_chunk)
 
     def test_engines_identical(self):
         p = hetero()

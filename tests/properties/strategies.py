@@ -24,6 +24,13 @@ import typing
 
 from hypothesis import strategies as st
 
+from repro.core import (
+    RUMR,
+    AdaptiveRUMR,
+    Factoring,
+    FixedSizeChunking,
+    WeightedFactoring,
+)
 from repro.errors import (
     CrashFaults,
     LinkSpikeFaults,
@@ -66,6 +73,9 @@ __all__ = [
     "workloads",
     "seeds",
     "error_magnitudes",
+    "SchedulerCase",
+    "recovering_scheduler_cases",
+    "dynamic_scheduler_cases",
     "SpecCase",
     "fault_spec_cases",
     "topology_spec_cases",
@@ -141,6 +151,74 @@ def seeds(max_value: int = 2**31):
 def error_magnitudes(max_magnitude: float = 0.8):
     """Prediction-error magnitudes (the sweep's epsilon axis)."""
     return st.floats(min_value=0.0, max_value=max_magnitude, **finite)
+
+
+# -- batch-dynamic schedulers --------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class SchedulerCase:
+    """A batch-dynamic scheduler class plus drawn constructor parameters.
+
+    Calling it with a cell's error magnitude builds the scheduler, passing
+    the error as ``error_param`` for algorithms that consume it (RUMR's
+    ``known_error``) — the registry's factory contract.
+    """
+
+    cls: type
+    params: tuple = ()
+    error_param: "str | None" = None
+
+    def __call__(self, error: float):
+        kwargs = dict(self.params)
+        if self.error_param is not None:
+            kwargs[self.error_param] = error
+        return self.cls(**kwargs)
+
+
+def _scheduler_case(cls, error_param=None, **params):
+    return st.fixed_dictionaries(params).map(
+        lambda drawn: SchedulerCase(cls, tuple(sorted(drawn.items())), error_param)
+    )
+
+
+_factors = st.floats(min_value=1.0, max_value=4.0, exclude_min=True, **finite)
+_min_chunks = st.floats(min_value=0.0, max_value=20.0, **finite)
+
+#: Schedulers that re-dispatch every lost chunk: Factoring, Weighted
+#: Factoring and RUMR over their parameter domains (RUMR's split, phase-1
+#: order and phase-2 kind included).
+recovering_scheduler_cases = st.one_of(
+    _scheduler_case(Factoring, factor=_factors, min_chunk=_min_chunks),
+    _scheduler_case(WeightedFactoring, factor=_factors, min_chunk=_min_chunks),
+    _scheduler_case(
+        RUMR,
+        "known_error",
+        factor=_factors,
+        # Fractions below ~1e-90 leave phase 1 a workload solve_umr cannot
+        # plan (UMRInfeasibleError on both engines, a solver limit noted
+        # in ROADMAP.md); exactly 0 still covers the empty phase 1.
+        phase1_fraction=st.none()
+        | st.just(0.0)
+        | st.floats(min_value=1e-6, max_value=1.0, **finite),
+        out_of_order=st.booleans(),
+        phase2_weighted=st.booleans(),
+    ),
+)
+
+#: Every batch-dynamic scheduler: the recovering ones plus FSC (explicit
+#: or Kruskal–Weiss chunk) and AdaptiveRUMR.
+dynamic_scheduler_cases = st.one_of(
+    recovering_scheduler_cases,
+    _scheduler_case(
+        FixedSizeChunking,
+        "known_error",
+        chunk_size=st.none() | st.floats(min_value=10.0, max_value=500.0, **finite),
+    ),
+    _scheduler_case(
+        AdaptiveRUMR, factor=_factors, min_samples=st.integers(min_value=2, max_value=20)
+    ),
+)
 
 
 # -- spec strings --------------------------------------------------------------

@@ -5,9 +5,11 @@ equality with the scalar engine at zero error for every batch-dynamic
 scheduler, and distributional identity at nonzero error — bitwise
 whenever no truncation resample fires, which at moderate magnitudes is
 almost every run.  Hypothesis drives both over arbitrary homogeneous
-platforms, workloads, and scheduler parameters, covering RUMR's phase 1
-(UMR rounds), its factoring phase 2, and the degenerate split where
-phase 2 is skipped entirely.
+platforms, workloads, and every batch-dynamic scheduler across its
+parameter domain — so the one run binding each scheduler exposes
+(``batch_kernel`` read by both the scalar source and the kernel) is
+checked everywhere, covering RUMR's phase 1 (UMR rounds), both phase-2
+kinds, and the degenerate splits where either phase is empty.
 """
 
 import numpy as np
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.factoring import Factoring
 from repro.core.rumr import RUMR, phase2_workload
-from repro.core.weighted_factoring import WeightedFactoring
 from repro.errors import make_error_model
 from repro.errors.faults import make_fault_model
 from repro.platform import homogeneous_platform
@@ -28,7 +29,13 @@ from repro.sim.dynbatch import (
     simulate_dynamic_cells,
 )
 from repro.sim.fastsim import simulate_fast
-from tests.properties.strategies import finite, homogeneous_platforms, workloads as make_workloads
+from tests.properties.strategies import (
+    dynamic_scheduler_cases,
+    finite,
+    homogeneous_platforms,
+    recovering_scheduler_cases,
+    workloads as make_workloads,
+)
 
 pytestmark = pytest.mark.property
 
@@ -38,21 +45,6 @@ platforms = homogeneous_platforms(max_workers=12)
 crash_platforms = homogeneous_platforms(min_workers=2, max_workers=12)
 
 workloads = make_workloads(min_work=50.0, max_work=5000.0)
-
-# Factories taking the cell error, mirroring the registry contract.
-# RUMR variants span in-order and out-of-order phase 1 and several
-# phase-1 fractions (and hence both phase-2 shapes).
-dynamic_schedulers = st.sampled_from(
-    [
-        lambda error: Factoring(),
-        lambda error: Factoring(factor=1.5, min_chunk=0.5),
-        lambda error: WeightedFactoring(),
-        lambda error: RUMR(known_error=error),
-        lambda error: RUMR(known_error=error, out_of_order=False),
-        lambda error: RUMR(known_error=error, phase1_fraction=0.7),
-    ]
-)
-
 
 def scalar_makespan(platform, work, scheduler, error, seed):
     model = make_error_model("normal", error)
@@ -66,7 +58,7 @@ class TestLockstepScalarEquivalence:
     @given(
         platform=platforms,
         work=workloads,
-        factory=dynamic_schedulers,
+        factory=dynamic_scheduler_cases,
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_bitwise_equal_at_zero_error(self, platform, work, factory, seed):
@@ -80,7 +72,7 @@ class TestLockstepScalarEquivalence:
     @given(
         platform=platforms,
         work=workloads,
-        factory=dynamic_schedulers,
+        factory=dynamic_scheduler_cases,
         error=st.floats(min_value=0.01, max_value=0.25, **finite),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -147,7 +139,7 @@ class TestGridPassContract:
     @given(
         platform=platforms,
         work=workloads,
-        factories=st.lists(dynamic_schedulers, min_size=2, max_size=4),
+        factories=st.lists(dynamic_scheduler_cases, min_size=2, max_size=4),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_merged_pass_bitwise_equals_per_cell(self, platform, work,
@@ -171,7 +163,7 @@ class TestGridPassContract:
     @given(
         platform=platforms,
         work=workloads,
-        factory=dynamic_schedulers,
+        factory=dynamic_scheduler_cases,
         error=st.floats(min_value=0.0, max_value=0.2, **finite),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
@@ -201,7 +193,7 @@ class TestBatchedFaultProperties:
     @given(
         platform=crash_platforms,
         work=workloads,
-        factory=dynamic_schedulers,
+        factory=recovering_scheduler_cases,
         at=st.floats(min_value=1.0, max_value=200.0, **finite),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )

@@ -48,3 +48,5 @@ class TestContractViolations:
     def test_zero_size_dispatch_rejected_at_construction(self, engine):
         with pytest.raises(ValueError):
             Dispatch(worker=0, size=0.0)
+        with pytest.raises(ValueError):
+            Dispatch(worker=0, size=float("nan"))
