@@ -188,9 +188,11 @@ class AdaptiveRUMRSource(DispatchSource):
             if not pending:
                 self._round_cursor += 1
                 continue
-            ordered = sorted(pending)
-            idle = [i for i in ordered if view.is_idle(i)]
-            worker = idle[0] if idle else ordered[0]
+            # Lowest-index idle holder, else the lowest-index holder: round
+            # maps iterate in ascending worker order.
+            worker = view.first_idle(pending)
+            if worker is None:
+                worker = next(iter(pending))
             size = pending.pop(worker)
             self._chunk_sizes[self._next_index] = size
             self._next_index += 1

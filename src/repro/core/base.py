@@ -176,6 +176,9 @@ class MasterView:
         return ()
 
     # -- derived helpers ----------------------------------------------------
+    #
+    # Defined from pending_chunks; the engines' views answer them without
+    # a per-worker scan, and sources call them instead of scanning.
     def is_idle(self, worker: int) -> bool:
         """True when the worker has nothing dispatched-and-unfinished."""
         return self.pending_chunks(worker) == 0
@@ -183,6 +186,17 @@ class MasterView:
     def idle_workers(self) -> list[int]:
         """Indices of idle workers, ascending."""
         return [i for i in range(self.num_workers) if self.is_idle(i)]
+
+    def first_idle(self, workers: "typing.Iterable[int]") -> "int | None":
+        """The first idle worker of ``workers`` in iteration order, else ``None``."""
+        for i in workers:
+            if self.is_idle(i):
+                return i
+        return None
+
+    def any_pending(self) -> bool:
+        """True when some worker has a chunk dispatched-and-unfinished."""
+        return any(self.pending_chunks(i) for i in range(self.num_workers))
 
     def least_loaded_worker(self) -> int:
         """Worker with the least pending work (ties: fewest chunks, lowest index)."""

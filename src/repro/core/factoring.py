@@ -48,6 +48,12 @@ def check_factor(factor: float) -> float:
     return factor
 
 
+def live_workers(n: int, crashed: "tuple[int, ...]") -> "list[int]":
+    """Workers ``0..n-1`` not in ``crashed``, ascending."""
+    crashed_set = set(crashed)
+    return [i for i in range(n) if i not in crashed_set]
+
+
 def check_min_chunk(min_chunk: float) -> float:
     """Validate a chunk floor: finite and ``>= 0``."""
     if not (math.isfinite(min_chunk) and min_chunk >= 0.0):
@@ -123,34 +129,26 @@ class FactoringSource(DispatchSource):
             self._absorb_losses(view)
             crashed = view.crashed_workers()
         if self._remaining <= self._epsilon:
-            if view.faults_possible and any(
-                view.pending_chunks(i) for i in range(self._n)
-            ):
+            if view.faults_possible and view.any_pending():
                 # Outstanding chunks may yet be lost and need re-dispatch;
                 # wake on each resolution until the pending set drains.
                 return WAIT
             return None
-        # Serve the most starved worker (fewest buffered chunks, then least
-        # pending work, then lowest index for determinism) — but only when
-        # it is idle.
+        # Serve the most starved worker — fewest buffered chunks, then
+        # least pending work, then lowest index — but only when it is
+        # idle.  An idle worker's pending work is exactly 0.0 (a prefix
+        # difference x − x), so that is the lowest-index idle worker, and
+        # WAIT when none is.
         if crashed:
-            crashed_set = set(crashed)
-            live = [i for i in range(self._n) if i not in crashed_set]
+            live = live_workers(self._n, crashed)
             if not live:
                 return None  # every worker is gone; the rest is undeliverable
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in live
-            ]
-            n_live = len(live)
         else:
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in range(self._n)
-            ]
-            n_live = self._n
-        pending, _, worker = min(candidates)
-        if pending:
+            live = range(self._n)
+        worker = view.first_idle(live)
+        if worker is None:
             return WAIT
-        size = self._next_size(n_live)
+        size = self._next_size(len(live))
         self._remaining = max(0.0, self._remaining - size)
         return Dispatch(worker=worker, size=size, phase=self._phase)
 

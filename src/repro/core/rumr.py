@@ -41,7 +41,12 @@ import typing
 import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import FactoringKernelSpec, FactoringSource, check_factor
+from repro.core.factoring import (
+    FactoringKernelSpec,
+    FactoringSource,
+    check_factor,
+    live_workers,
+)
 from repro.core.lockstep import DISPATCH, KernelSpec, LockstepKernel, expand_rows
 from repro.core.umr import MAX_ROUNDS, solve_umr
 from repro.core.weighted_factoring import WeightedFactoringKernelSpec, speed_weights
@@ -170,17 +175,6 @@ class RUMRSource(DispatchSource):
         """True while phase-1 chunks remain to dispatch."""
         return self._round_cursor < len(self._rounds)
 
-    def _pick_phase1_worker(self, view: MasterView, pending: dict[int, float]) -> int:
-        ordered = sorted(pending)
-        if not self._spec.scheduler.out_of_order:
-            return ordered[0]
-        idle = [i for i in ordered if view.is_idle(i)]
-        if idle:
-            # Prefer the idle worker with the least outstanding work (all
-            # zero by definition of idle) — lowest index for determinism.
-            return idle[0]
-        return ordered[0]
-
     def _make_recovery_tail(self, pool: float, live: "list[int]") -> FactoringSource:
         spec = self._spec
         scheduler = spec.scheduler
@@ -198,8 +192,7 @@ class RUMRSource(DispatchSource):
             # Phase-2 / fallback sources handle crashes themselves.
             return
         spec = self._spec
-        crashed_set = set(crashed)
-        live = [i for i in range(spec.n) if i not in crashed_set]
+        live = live_workers(spec.n, crashed)
         if self._dispatched_gross == 0.0:
             # Nothing committed yet: rebind on the survivors, as if the
             # platform never had the dead workers.
@@ -236,7 +229,14 @@ class RUMRSource(DispatchSource):
             if not pending:
                 self._round_cursor += 1
                 continue
-            worker = self._pick_phase1_worker(view, pending)
+            # Round maps iterate in ascending worker order (built that way,
+            # only ever popped): the lowest-index holder, or with
+            # out-of-order dispatch the lowest-index idle holder.
+            worker = None
+            if self._spec.scheduler.out_of_order:
+                worker = view.first_idle(pending)
+            if worker is None:
+                worker = next(iter(pending))
             size = pending.pop(worker)
             self._dispatched_gross += size
             return Dispatch(
@@ -251,8 +251,7 @@ class RUMRSource(DispatchSource):
             # Pure-UMR tail under faults: keep a zero-pool recovery source
             # alive so work lost after the last planned dispatch is still
             # re-dispatched rather than abandoned.
-            crashed_set = set(view.crashed_workers())
-            live = [i for i in range(self._spec.n) if i not in crashed_set]
+            live = live_workers(self._spec.n, view.crashed_workers())
             self._fallback = self._make_recovery_tail(0.0, live)
             action = self._fallback.next_dispatch(view)
             if isinstance(action, Dispatch):

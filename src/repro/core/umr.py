@@ -193,27 +193,16 @@ def _objective(d: _Derived, t0: float, sum_t: float) -> float:
     return d.nlat_sum + d.beta * t0 - d.d_sum + d.tlat_max + sum_t
 
 
-def _plan_from_t0(
-    platform: PlatformSpec,
-    d: _Derived,
-    t0: float,
-    m: int,
-    method: str,
-    total_work: float,
-    allow_decreasing: bool = False,
-) -> UMRPlan | None:
-    """Build and validate a concrete plan.
+def _valid_round_times(
+    d: _Derived, t0: float, m: int, allow_decreasing: bool = False
+) -> list[float] | None:
+    """The M round times from ``T_0``, or None when they break the UMR shape.
 
-    Returns None when the plan is invalid: a negative chunk somewhere
-    (``T_j < cLat_i``); round sizes *decreasing* (unless
-    ``allow_decreasing``) — UMR is defined by nondecreasing chunks, and
-    this rejection reproduces the paper's observation that UMR degrades to
-    a single round in high-latency configurations; or the materialized
-    chunk total drifting from the workload constraint.  The latter happens
-    at large round counts where ``T_0`` sits within float-epsilon of the
-    recurrence fixed point — the correction term underflows and the
-    replayed geometric sequence no longer honours the constraint
-    (catastrophic cancellation in θ^M).
+    Invalid means a negative chunk somewhere (``T_j < cLat_i``) or round
+    sizes *decreasing* (unless ``allow_decreasing``) — UMR is defined by
+    nondecreasing chunks, and this rejection reproduces the paper's
+    observation that UMR degrades to a single round in high-latency
+    configurations.
     """
     times = _round_times(d, t0, m)
     # Validity: every worker's chunk in every round must be non-negative,
@@ -226,6 +215,25 @@ def _plan_from_t0(
         mono_tol = 1e-9 * max(1.0, abs(t0))
         if any(b < a - mono_tol for a, b in zip(times, times[1:])):
             return None
+    return times
+
+
+def _plan_from_times(
+    platform: PlatformSpec,
+    d: _Derived,
+    times: list[float],
+    predicted_makespan: float,
+    method: str,
+    total_work: float,
+) -> UMRPlan | None:
+    """Materialize the chunk rows of valid round times.
+
+    Returns None when the chunk total drifts from the workload
+    constraint.  That happens at large round counts where ``T_0`` sits
+    within float-epsilon of the recurrence fixed point — the correction
+    term underflows and the replayed geometric sequence no longer honours
+    the constraint (catastrophic cancellation in θ^M).
+    """
     chunk_rows = [
         tuple(max(0.0, w.S * (t - w.cLat)) for w in platform) for t in times
     ]
@@ -233,12 +241,34 @@ def _plan_from_t0(
     if not math.isclose(total, total_work, rel_tol=1e-7):
         return None
     return UMRPlan(
-        num_rounds=m,
+        num_rounds=len(times),
         round_times=tuple(times),
         chunk_sizes=tuple(chunk_rows),
-        predicted_makespan=_objective(d, t0, sum(times)),
+        predicted_makespan=predicted_makespan,
         theta=d.theta,
         method=method,
+    )
+
+
+def _plan_from_t0(
+    platform: PlatformSpec,
+    d: _Derived,
+    t0: float,
+    m: int,
+    method: str,
+    total_work: float,
+    allow_decreasing: bool = False,
+) -> UMRPlan | None:
+    """Build and validate a concrete plan, or None when it is invalid.
+
+    See :func:`_valid_round_times` and :func:`_plan_from_times` for what
+    makes a plan invalid.
+    """
+    times = _valid_round_times(d, t0, m, allow_decreasing)
+    if times is None:
+        return None
+    return _plan_from_times(
+        platform, d, times, _objective(d, t0, sum(times)), method, total_work
     )
 
 
@@ -290,15 +320,39 @@ def _search_subset(
         t0 = _t0_for_rounds(d, total_work, m)
         if t0 is None:
             break
-        plan = _plan_from_t0(platform, d, t0, m, "search", total_work, allow_decreasing)
-        if plan is None:
+        times = _valid_round_times(d, t0, m, allow_decreasing)
+        if times is None:
             continue
         # Strict-improvement threshold: prefer fewer rounds when extra
         # rounds buy only a vanishing (sub-relative-epsilon) improvement,
         # as happens when cLat = nLat = 0 and F(M) is asymptotically flat.
-        if best is None or plan.predicted_makespan < best.predicted_makespan * (1.0 - 1e-9):
+        # The objective needs only the M round times, so the N-wide chunk
+        # rows (and their total check) are built for would-be winners only.
+        predicted = _objective(d, t0, sum(times))
+        if best is not None and not predicted < best.predicted_makespan * (1.0 - 1e-9):
+            continue
+        plan = _plan_from_times(platform, d, times, predicted, "search", total_work)
+        if plan is not None:
             best = plan
     return best
+
+
+def _single_chunk_plan(platform: PlatformSpec, total_work: float) -> UMRPlan:
+    """The one-round plan of a one-worker platform: one chunk of exactly W.
+
+    The search misses it only for workloads so small that the chunk
+    ``S·(T_0 − cLat)`` cancels to nothing against the latency.
+    """
+    d = _derive(platform)
+    t0 = _t0_for_rounds(d, total_work, 1)
+    return UMRPlan(
+        num_rounds=1,
+        round_times=(t0,),
+        chunk_sizes=((total_work,),),
+        predicted_makespan=_objective(d, t0, t0),
+        theta=d.theta,
+        method="search",
+    )
 
 
 def _expand_plan(plan: UMRPlan, indices: list[int], n_full: int) -> UMRPlan:
@@ -328,7 +382,8 @@ def solve_umr_search(
     is too small to cover the per-round latency of every worker — the
     worker with the largest ``cLat`` is dropped and the search repeats (the
     paper's resource-selection idea applied to the start-up-cost regime).
-    A single worker is always feasible, so the search always succeeds.
+    A single worker is always feasible — one round, one chunk of the
+    whole workload — so the search always succeeds.
     """
     if not total_work > 0:
         raise ValueError(f"total_work must be > 0, got {total_work}")
@@ -336,16 +391,13 @@ def solve_umr_search(
     while True:
         sub = platform.subset(indices) if len(indices) < platform.N else platform
         best = _search_subset(sub, total_work, max_rounds, allow_decreasing)
+        if best is None and len(indices) == 1:
+            best = _single_chunk_plan(sub, total_work)
         if best is not None:
             normalized = _normalize_plan(best, sub, total_work)
             if len(indices) < platform.N:
                 normalized = _expand_plan(normalized, indices, platform.N)
             return normalized
-        if len(indices) == 1:
-            raise UMRInfeasibleError(
-                "no valid UMR schedule even on a single worker; "
-                f"total_work={total_work} cannot cover the latencies"
-            )
         drop = max(indices, key=lambda i: (platform[i].cLat, -platform[i].S, i))
         indices.remove(drop)
 

@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import check_factor, check_min_chunk
+from repro.core.factoring import check_factor, check_min_chunk, live_workers
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
@@ -110,33 +110,24 @@ class WeightedFactoringSource(DispatchSource):
             self._absorb_losses(view)
             crashed = view.crashed_workers()
         if self._remaining <= self._epsilon:
-            if view.faults_possible and any(
-                view.pending_chunks(i) for i in range(self._n)
-            ):
+            if view.faults_possible and view.any_pending():
                 return WAIT
             return None
+        # The starved-first pick of FactoringSource: the lowest-index idle
+        # live worker, else WAIT.
         if crashed:
-            crashed_set = set(crashed)
-            live = [i for i in range(self._n) if i not in crashed_set]
+            live = live_workers(self._n, crashed)
             if not live:
                 return None
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in live
-            ]
-            pending, _, worker = min(candidates)
-            if pending:
-                return WAIT
-            live_weight = sum(self._weights[i] for i in live)
-            weight = self._weights[worker] / live_weight
-            size = self._size_for(worker, weight, len(live))
         else:
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in range(self._n)
-            ]
-            pending, _, worker = min(candidates)
-            if pending:
-                return WAIT
-            size = self._size_for(worker, self._weights[worker], self._n)
+            live = range(self._n)
+        worker = view.first_idle(live)
+        if worker is None:
+            return WAIT
+        weight = self._weights[worker]
+        if crashed:
+            weight /= sum(self._weights[i] for i in live)
+        size = self._size_for(worker, weight, len(live))
         self._remaining = max(0.0, self._remaining - size)
         return Dispatch(worker=worker, size=size, phase=self._phase)
 

@@ -43,6 +43,7 @@ the sweep cache key and the CLI unchanged::
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import typing
@@ -56,6 +57,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "NO_FAULT_SPEC",
+    "CrashClock",
     "FaultPlane",
     "FaultSchedule",
     "FaultModel",
@@ -74,6 +76,31 @@ __all__ = [
 NO_FAULT_SPEC = "none"
 
 _NEVER = math.inf
+
+
+class CrashClock:
+    """Which workers have crashed by a given time, from one sort of the crash times.
+
+    ``crashed_at(t)`` equals ``tuple(i for i, c in enumerate(crash_times)
+    if c <= t)``: one bisect over the sorted crash instants, with the
+    ascending tuple built once per crash count and then returned as the
+    same object.  ``crash_times=None`` (a fault-free run) never crashes.
+    """
+
+    __slots__ = ("_times", "_order", "_crashed")
+
+    def __init__(self, crash_times: "typing.Sequence[float] | None"):
+        crash_times = crash_times or ()
+        self._order = sorted(range(len(crash_times)), key=crash_times.__getitem__)
+        self._times = [crash_times[i] for i in self._order]
+        self._crashed: dict[int, tuple[int, ...]] = {0: ()}
+
+    def crashed_at(self, time: float) -> tuple[int, ...]:
+        count = bisect.bisect_right(self._times, time)
+        crashed = self._crashed.get(count)
+        if crashed is None:
+            crashed = self._crashed[count] = tuple(sorted(self._order[:count]))
+        return crashed
 
 
 @dataclasses.dataclass(frozen=True)

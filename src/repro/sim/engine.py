@@ -69,7 +69,7 @@ from repro.core.base import (
 )
 from repro.core.chunks import DispatchRecord
 from repro.des import Environment, Event, Monitor, Store
-from repro.errors.faults import FaultModel, FaultSchedule
+from repro.errors.faults import CrashClock, FaultModel, FaultSchedule
 from repro.errors.models import ErrorModel
 from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
@@ -238,9 +238,13 @@ class _DesView(MasterView):
         "_sent",
         "_done",
         "_prefix",
+        "_outstanding",
         "_all_notes",
+        "_notes_cache",
         "_crash_times",
+        "_crash_clock",
         "_all_losses",
+        "_losses_cache",
     )
 
     def __init__(self, env: Environment, n: int, crash_times: tuple[float, ...] | None = None):
@@ -248,12 +252,19 @@ class _DesView(MasterView):
         self._n = n
         self._sent = [0] * n
         self._done = [0] * n
+        self._outstanding = 0  # sum of pending_chunks over all workers
         self._prefix: list[list[float]] = [[0.0] for _ in range(n)]
         # Sorted by (time, chunk_index): identical to the fast view even
-        # when announcements drain in a different internal order.
+        # when announcements drain in a different internal order.  A note
+        # is inserted when it is observed and never removed, so a list's
+        # length alone identifies its snapshot: the tuples handed to
+        # sources are cached by length instead of copied on every call.
         self._all_notes: list[CompletionNote] = []
+        self._notes_cache: tuple[CompletionNote, ...] = ()
         self._crash_times = crash_times
+        self._crash_clock = CrashClock(crash_times)
         self._all_losses: list[LossNote] = []
+        self._losses_cache: tuple[LossNote, ...] = ()
 
     @property
     def now(self) -> float:
@@ -270,8 +281,13 @@ class _DesView(MasterView):
         prefix = self._prefix[worker]
         return prefix[self._sent[worker]] - prefix[self._done[worker]]
 
+    def any_pending(self) -> bool:
+        return self._outstanding > 0
+
     def observed_completions(self) -> tuple[CompletionNote, ...]:
-        return tuple(self._all_notes)
+        if len(self._notes_cache) != len(self._all_notes):
+            self._notes_cache = tuple(self._all_notes)
+        return self._notes_cache
 
     # -- fault observability -------------------------------------------------
     @property
@@ -279,21 +295,22 @@ class _DesView(MasterView):
         return self._crash_times is not None
 
     def crashed_workers(self) -> tuple[int, ...]:
-        if self._crash_times is None:
-            return ()
-        now = self.env.now
-        return tuple(i for i in range(self._n) if self._crash_times[i] <= now)
+        return self._crash_clock.crashed_at(self.env.now)
 
     def observed_losses(self) -> tuple[LossNote, ...]:
-        return tuple(self._all_losses)
+        if len(self._losses_cache) != len(self._all_losses):
+            self._losses_cache = tuple(self._all_losses)
+        return self._losses_cache
 
     # -- engine-side mutation ----------------------------------------------
     def note_dispatch(self, worker: int, size: float) -> None:
         self._sent[worker] += 1
+        self._outstanding += 1
         self._prefix[worker].append(self._prefix[worker][-1] + size)
 
     def note_completion(self, worker: int, chunk_index: int, size: float, when: float) -> None:
         self._done[worker] += 1
+        self._outstanding -= 1
         bisect.insort(
             self._all_notes,
             CompletionNote(time=when, chunk_index=chunk_index, worker=worker, size=size),
@@ -303,6 +320,7 @@ class _DesView(MasterView):
         # A loss leaves the pending set exactly like a completion; it is
         # only recorded in the loss list rather than the completion list.
         self._done[worker] += 1
+        self._outstanding -= 1
         bisect.insort(
             self._all_losses,
             LossNote(time=when, chunk_index=chunk_index, worker=worker, size=size),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 
 from repro.core.base import (
     WAIT,
@@ -42,7 +43,7 @@ from repro.core.base import (
     Scheduler,
 )
 from repro.core.chunks import DispatchRecord
-from repro.errors.faults import FaultModel, FaultSchedule
+from repro.errors.faults import CrashClock, FaultModel, FaultSchedule
 from repro.errors.models import ErrorModel
 from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
@@ -66,9 +67,14 @@ class _FastView(MasterView):
         "_notes_pending",
         "_obs_cache",
         "_obs_cache_key",
+        "_last_end",
+        "_max_end",
         "_crash_times",
+        "_crash_clock",
         "_losses_sorted",
         "_losses_pending",
+        "_loss_cache",
+        "_loss_cache_key",
     )
 
     def __init__(self, n: int, crash_times: tuple[float, ...] | None = None):
@@ -77,14 +83,22 @@ class _FastView(MasterView):
         # None when the run is fault-free; faults_possible keys off it so
         # recovery-aware sources skip their fault bookkeeping entirely.
         self._crash_times = crash_times
+        self._crash_clock = CrashClock(crash_times)
         self._losses_sorted: list[LossNote] = []
         self._losses_pending: list[LossNote] = []
+        self._loss_cache: tuple[LossNote, ...] = ()
+        self._loss_cache_key: tuple[float, int] = (-1.0, 0)
         self._sent_count = [0] * n
         self._sent_work = [0.0] * n
         # Per-worker realized completion times (nondecreasing: FIFO) and the
         # matching prefix sums of completed work, for O(log) pending queries.
         self._ends: list[list[float]] = [[] for _ in range(n)]
         self._end_work_prefix: list[list[float]] = [[0.0] for _ in range(n)]
+        # Because each ends list is nondecreasing, a worker is idle exactly
+        # when its last end has passed, and some chunk is pending exactly
+        # when the latest end of all has not: O(1) idle queries.
+        self._last_end = [-math.inf] * n
+        self._max_end = -math.inf
         # Global completion notes.  Dispatch appends to the unsorted pending
         # list in O(1); the (time, chunk_index)-sorted list is materialized
         # lazily on the first observed_completions() after a dispatch.  A
@@ -107,6 +121,20 @@ class _FastView(MasterView):
     def pending_chunks(self, worker: int) -> int:
         done = bisect.bisect_right(self._ends[worker], self._now)
         return self._sent_count[worker] - done
+
+    def is_idle(self, worker: int) -> bool:
+        return self._last_end[worker] <= self._now
+
+    def first_idle(self, workers) -> int | None:
+        last_end = self._last_end
+        now = self._now
+        for i in workers:
+            if last_end[i] <= now:
+                return i
+        return None
+
+    def any_pending(self) -> bool:
+        return self._max_end > self._now
 
     def pending_work(self, worker: int) -> float:
         # Prefix-difference form, bit-identical to the DES view (see
@@ -142,22 +170,24 @@ class _FastView(MasterView):
         return self._crash_times is not None
 
     def crashed_workers(self) -> tuple[int, ...]:
-        if self._crash_times is None:
-            return ()
-        now = self._now
-        return tuple(i for i in range(self._n) if self._crash_times[i] <= now)
+        return self._crash_clock.crashed_at(self._now)
 
     def observed_losses(self) -> tuple[LossNote, ...]:
         if self._losses_pending:
             self._losses_sorted.extend(self._losses_pending)
             self._losses_sorted.sort(key=lambda n: (n.time, n.chunk_index))
             self._losses_pending.clear()
+        key = (self._now, len(self._losses_sorted))
+        if key == self._loss_cache_key:
+            return self._loss_cache
         cutoff = bisect.bisect_right(
             self._losses_sorted,
             (self._now, float("inf")),
             key=lambda n: (n.time, n.chunk_index),
         )
-        return tuple(self._losses_sorted[:cutoff])
+        self._loss_cache = tuple(self._losses_sorted[:cutoff])
+        self._loss_cache_key = key
+        return self._loss_cache
 
     # -- engine-side mutation ------------------------------------------------
     def _note_dispatch(
@@ -170,6 +200,9 @@ class _FastView(MasterView):
         self._sent_count[worker] += 1
         self._sent_work[worker] += size
         self._ends[worker].append(end)
+        self._last_end[worker] = end
+        if end > self._max_end:
+            self._max_end = end
         self._end_work_prefix[worker].append(self._end_work_prefix[worker][-1] + size)
         if lost:
             self._losses_pending.append(

@@ -1,8 +1,12 @@
 """Tests for the Factoring self-scheduler."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.core.base import WAIT, MasterView
 from repro.core.factoring import Factoring, FactoringSource
+from repro.core.weighted_factoring import WeightedFactoringSource
 from repro.errors import NoError, NormalErrorModel
 from repro.platform import homogeneous_platform
 from repro.sim import simulate, validate_schedule
@@ -105,3 +109,83 @@ class TestSelfScheduling:
     def test_phase_label(self):
         result = simulate(platform(), W, Factoring())
         assert all(r.phase == "factoring" for r in result.records)
+
+
+class _StubView(MasterView):
+    """A view over canned per-worker pending chunk sizes."""
+
+    def __init__(self, pending_sizes, crashed=()):
+        self._pending = pending_sizes
+        self._crashed = tuple(crashed)
+
+    @property
+    def now(self):
+        return 0.0
+
+    @property
+    def num_workers(self):
+        return len(self._pending)
+
+    @property
+    def faults_possible(self):
+        return bool(self._crashed)
+
+    def crashed_workers(self):
+        return self._crashed
+
+    def pending_chunks(self, worker):
+        return len(self._pending[worker])
+
+    def pending_work(self, worker):
+        # The engines' prefix-difference form: exactly 0.0 when idle.
+        prefix = [0.0]
+        for size in self._pending[worker]:
+            prefix.append(prefix[-1] + size)
+        return prefix[-1] - prefix[0]
+
+
+class TestStarvedWorkerPick:
+    """The idle-worker pick equals the starved-first ``min`` rule."""
+
+    @staticmethod
+    def min_rule(view):
+        crashed = set(view.crashed_workers())
+        live = [i for i in range(view.num_workers) if i not in crashed]
+        pending, _, worker = min(
+            (view.pending_chunks(i), view.pending_work(i), i) for i in live
+        )
+        return WAIT if pending else worker
+
+    @given(
+        pending=st.lists(
+            st.lists(st.sampled_from((1.0, 2.5, 7.0)), max_size=3),
+            min_size=1,
+            max_size=8,
+        ),
+        crashed=st.sets(st.integers(min_value=0, max_value=7)),
+        weighted=st.booleans(),
+    )
+    def test_pick_matches_min_rule(self, pending, crashed, weighted):
+        crashed = sorted(c for c in crashed if c < len(pending))
+        assume(len(crashed) < len(pending))
+        view = _StubView(pending, crashed)
+        n = len(pending)
+        if weighted:
+            source = WeightedFactoringSource(
+                (1.0 / n,) * n, W, factor=2.0, min_chunk=1.0, phase="wf"
+            )
+        else:
+            source = FactoringSource(n, W, factor=2.0, min_chunk=1.0, phase="f")
+        action = source.next_dispatch(view)
+        expected = self.min_rule(view)
+        if expected is WAIT:
+            assert action is WAIT
+        else:
+            assert action.worker == expected
+
+    def test_ties_go_to_lowest_index(self):
+        # Workers 1 and 3 idle, 0 and 2 busy with equal loads: worker 1.
+        view = _StubView([[2.5], [], [2.5], []])
+        source = FactoringSource(4, W, factor=2.0, min_chunk=1.0, phase="f")
+        assert self.min_rule(view) == 1
+        assert source.next_dispatch(view).worker == 1

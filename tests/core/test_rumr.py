@@ -192,6 +192,28 @@ class TestValidation:
             assert result.dispatched_work == pytest.approx(W, rel=1e-6)
 
 
+class TestTinyPhase1:
+    """A phase-1 share so small its UMR plan is one chunk on one worker."""
+
+    @pytest.mark.parametrize("engine", ["fast", "des"])
+    def test_runs_on_both_engines(self, engine):
+        sched = RUMR(known_error=0.3, phase1_fraction=1e-93)
+        result = simulate(platform(), W, sched, NormalErrorModel(0.3), seed=2, engine=engine)
+        validate_schedule(result)
+        phase1 = [r for r in result.records if r.phase.startswith("rumr-p1")]
+        assert [r.size for r in phase1] == [1e-93 * W]
+        assert result.dispatched_work == pytest.approx(W, rel=1e-12)
+
+    def test_lockstep_kernel_matches_scalar(self):
+        from repro.sim.dynbatch import simulate_dynamic_batch
+
+        p = platform()
+        sched = RUMR(known_error=0.0, phase1_fraction=1e-93)
+        scalar = simulate(p, W, sched, NoError(), seed=4).makespan
+        batch = simulate_dynamic_batch(p, sched, W, 0.0, [4])
+        assert batch[0] == scalar
+
+
 class TestCrashReplan:
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_crash_at_zero_equals_fresh_run_on_survivors(self, weighted):

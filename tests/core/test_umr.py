@@ -212,6 +212,23 @@ class TestEdgeCases:
         plan = solve_umr(p, W)
         assert plan.total_work == pytest.approx(W)
 
+    @pytest.mark.parametrize("work", [1e-20, 1e-90, 1e-300])
+    @pytest.mark.parametrize("method", ["search", "lagrange"])
+    def test_single_worker_tiny_workload_is_one_exact_chunk(self, work, method):
+        # S·(T_0 − cLat) cancels to zero at these workloads; the solver
+        # must still return the always-feasible one-chunk plan.
+        p = homogeneous_platform(1, S=1, bandwidth_factor=1.8, cLat=0.2, nLat=0.1)
+        plan = solve_umr(p, work, method=method)
+        assert plan.num_rounds == 1
+        assert plan.chunk_sizes == ((work,),)
+        assert plan.total_work == work
+
+    def test_tiny_workload_drops_to_one_worker(self):
+        p = table1_platform(n=5, cLat=0.2, nLat=0.1)
+        plan = solve_umr(p, 1e-90)
+        assert plan.total_work == 1e-90
+        assert sum(1 for size in plan.chunk_sizes[0] if size > 0.0) == 1
+
     def test_scheduler_name(self):
         assert UMR().name == "UMR"
 

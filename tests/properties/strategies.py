@@ -195,12 +195,12 @@ recovering_scheduler_cases = st.one_of(
         RUMR,
         "known_error",
         factor=_factors,
-        # Fractions below ~1e-90 leave phase 1 a workload solve_umr cannot
-        # plan (UMRInfeasibleError on both engines, a solver limit noted
-        # in ROADMAP.md); exactly 0 still covers the empty phase 1.
+        # The whole [0, 1] domain: 0 covers the empty phase 1, and tiny
+        # fractions a phase 1 so small that its plan is one chunk on one
+        # worker.
         phase1_fraction=st.none()
-        | st.just(0.0)
-        | st.floats(min_value=1e-6, max_value=1.0, **finite),
+        | st.sampled_from((0.0, 5e-324, 1e-300, 1e-93, 1e-20))
+        | st.floats(min_value=0.0, max_value=1.0, **finite),
         out_of_order=st.booleans(),
         phase2_weighted=st.booleans(),
     ),
