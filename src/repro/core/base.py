@@ -50,9 +50,12 @@ class DeadlockError(RuntimeError):
     """A source WAITed while nothing was pending — the run cannot progress."""
 
 
-@dataclasses.dataclass(frozen=True, slots=True, order=True)
-class CompletionNote:
-    """One observed completion: when which chunk finished on which worker."""
+class CompletionNote(typing.NamedTuple):
+    """One observed completion: when which chunk finished on which worker.
+
+    A named tuple (engines build one per chunk): notes order
+    lexicographically by ``(time, chunk_index, worker, size)``.
+    """
 
     time: float
     chunk_index: int
@@ -60,8 +63,7 @@ class CompletionNote:
     size: float
 
 
-@dataclasses.dataclass(frozen=True, slots=True, order=True)
-class LossNote:
+class LossNote(typing.NamedTuple):
     """One observed chunk loss: a crashed worker's chunk returned to the pool.
 
     The master observes a loss at ``max(crash_time, arrival)``: chunks
@@ -69,7 +71,7 @@ class LossNote:
     chunks still in flight when their delivery fails.  Lost chunks leave
     the pending set at :attr:`time`, exactly like completions, but deliver
     no work — recovery-aware sources re-add :attr:`size` to their
-    remaining pool.
+    remaining pool.  Ordered like :class:`CompletionNote`.
     """
 
     time: float

@@ -75,9 +75,12 @@ class ChunkPlan:
         return [c for c in self.chunks if c.worker == worker]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class DispatchRecord:
+class DispatchRecord(typing.NamedTuple):
     """The realized timeline of one dispatched chunk.
+
+    A named tuple rather than a dataclass: engines build one per chunk,
+    and tuple construction costs a fraction of a frozen dataclass's.
+    Derive modified copies with ``_replace`` and dicts with ``_asdict``.
 
     Attributes
     ----------

@@ -58,6 +58,12 @@ __all__ = [
 #: θ^-M, so anything beyond ~50 rounds is numerically indistinguishable.
 MAX_ROUNDS = 50
 
+#: Relative tolerance of the chunk-total check in :func:`_plan_from_times`.
+_TOTAL_RTOL = 1e-7
+
+#: Unit roundoff of a binary64 float (half the machine epsilon).
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 class UMRInfeasibleError(ValueError):
     """No valid UMR schedule exists for the given platform and workload."""
@@ -238,7 +244,7 @@ def _plan_from_times(
         tuple(max(0.0, w.S * (t - w.cLat)) for w in platform) for t in times
     ]
     total = sum(sum(row) for row in chunk_rows)
-    if not math.isclose(total, total_work, rel_tol=1e-7):
+    if not math.isclose(total, total_work, rel_tol=_TOTAL_RTOL):
         return None
     return UMRPlan(
         num_rounds=len(times),
@@ -307,34 +313,100 @@ def _normalize_plan(plan: UMRPlan, platform: PlatformSpec, total_work: float) ->
     )
 
 
+def _objective_slack(
+    d: _Derived, total_work: float, t0: float, m: int, f_c: float
+) -> float:
+    """Bound on ``|F(replayed) − F(constrained)|`` for any plan that can be accepted.
+
+    ``f_c`` is the objective at the constrained ``sum_t = (W + M·c_sum)/s_tot``.
+    A replayed plan passes the chunk-total check only if its rows sum to W
+    within ``_TOTAL_RTOL``, so its ``Σ T_j`` lies within about
+    ``_TOTAL_RTOL·W/s_tot`` of ``sum_t``.  The bound adds what the chunk
+    rows may clamp away (``T_j`` may undercut ``cLat_i`` by the validity
+    tolerance) and the rounding of the sums involved, with room to spare.
+    """
+    clamp = 1e-12 * m * d.s_tot * max(1.0, abs(t0))
+    rounding = 16.0 * (d.n + m + 4) * _UNIT_ROUNDOFF * (total_work + 2.0 * m * d.c_sum)
+    return (2.0 * _TOTAL_RTOL * total_work + clamp + rounding) / d.s_tot + (
+        4.0 * _UNIT_ROUNDOFF * abs(f_c)
+    )
+
+
+def _rows_total_ok(
+    d: _Derived, times: list[float], sum_t: float, total_work: float
+) -> bool | None:
+    """Whether the chunk rows of ``times`` would pass the chunk-total check.
+
+    Decided in O(1) from ``Σ_j Σ_i S_i·(T_j − cLat_i) = s_tot·Σ T − M·c_sum``
+    without building the N-wide rows.  Returns None — the rows must decide
+    — when a chunk may clamp to zero (some ``T_j < cLat_max``) or when the
+    proxy lies within its rounding error of the tolerance edge.  The error
+    scales with ``s_tot·Σ T + M·c_sum``, not with the result, because the
+    two terms cancel to W: at tiny W against large latencies the band
+    widens and the rows decide.
+    """
+    m = len(times)
+    if min(times) < d.clat_max:
+        return None
+    proxy = d.s_tot * sum_t - m * d.c_sum
+    err = 8.0 * (d.n + m + 4) * _UNIT_ROUNDOFF * (d.s_tot * sum_t + m * d.c_sum)
+    dev = abs(proxy - total_work)
+    if dev + err <= _TOTAL_RTOL * total_work:
+        return True
+    if dev - err > _TOTAL_RTOL * max(abs(proxy) + err, total_work):
+        return False
+    return None
+
+
 def _search_subset(
     platform: PlatformSpec,
     total_work: float,
     max_rounds: int,
     allow_decreasing: bool,
 ) -> UMRPlan | None:
-    """Best valid plan over integer round counts, or None if none exists."""
+    """Best valid plan over integer round counts, or None if none exists.
+
+    Selects exactly the plan an exhaustive replay of every round count
+    would, but materializes one: a round count whose closed-form objective
+    (at the constrained ``Σ T``) exceeds the current best by more than
+    :func:`_objective_slack` cannot pass the strict-improvement test and
+    is skipped without replaying its round times; the chunk-total check
+    of a would-be winner is decided by :func:`_rows_total_ok`; and the
+    N-wide chunk rows are built once, for the final winner.
+    """
     d = _derive(platform)
-    best: UMRPlan | None = None
+    best: tuple[list[float], float] | None = None
+    threshold = math.inf
     for m in range(1, max_rounds + 1):
         t0 = _t0_for_rounds(d, total_work, m)
         if t0 is None:
             break
+        if best is not None:
+            f_c = _objective(d, t0, (total_work + m * d.c_sum) / d.s_tot)
+            if f_c - _objective_slack(d, total_work, t0, m, f_c) >= threshold:
+                continue
         times = _valid_round_times(d, t0, m, allow_decreasing)
         if times is None:
             continue
         # Strict-improvement threshold: prefer fewer rounds when extra
         # rounds buy only a vanishing (sub-relative-epsilon) improvement,
         # as happens when cLat = nLat = 0 and F(M) is asymptotically flat.
-        # The objective needs only the M round times, so the N-wide chunk
-        # rows (and their total check) are built for would-be winners only.
-        predicted = _objective(d, t0, sum(times))
-        if best is not None and not predicted < best.predicted_makespan * (1.0 - 1e-9):
+        sum_t = sum(times)
+        predicted = _objective(d, t0, sum_t)
+        if best is not None and not predicted < threshold:
             continue
-        plan = _plan_from_times(platform, d, times, predicted, "search", total_work)
-        if plan is not None:
-            best = plan
-    return best
+        ok = _rows_total_ok(d, times, sum_t, total_work)
+        if ok is None:
+            plan = _plan_from_times(platform, d, times, predicted, "search", total_work)
+            ok = plan is not None
+        if ok:
+            best = (times, predicted)
+            threshold = predicted * (1.0 - 1e-9)
+    if best is None:
+        return None
+    plan = _plan_from_times(platform, d, best[0], best[1], "search", total_work)
+    assert plan is not None, "the chunk-total proxy accepted a plan its rows reject"
+    return plan
 
 
 def _single_chunk_plan(platform: PlatformSpec, total_work: float) -> UMRPlan:
@@ -385,8 +457,8 @@ def solve_umr_search(
     A single worker is always feasible — one round, one chunk of the
     whole workload — so the search always succeeds.
     """
-    if not total_work > 0:
-        raise ValueError(f"total_work must be > 0, got {total_work}")
+    if not (total_work > 0 and math.isfinite(total_work)):
+        raise ValueError(f"total_work must be finite and > 0, got {total_work}")
     indices = list(range(platform.N))
     while True:
         sub = platform.subset(indices) if len(indices) < platform.N else platform
@@ -434,8 +506,8 @@ def solve_umr_lagrange(
     in ``(0, max_rounds]`` (which happens at degenerate parameter corners
     such as ``cLat = nLat = 0``, where the continuous optimum is M → ∞).
     """
-    if not total_work > 0:
-        raise ValueError(f"total_work must be > 0, got {total_work}")
+    if not (total_work > 0 and math.isfinite(total_work)):
+        raise ValueError(f"total_work must be finite and > 0, got {total_work}")
     d = _derive(platform)
     if math.isclose(d.theta, 1.0):
         return solve_umr_search(platform, total_work, max_rounds, allow_decreasing)

@@ -45,6 +45,17 @@ __all__ = [
 MIN_RATIO = 0.01
 
 
+def _check_finite(name: str, value: float, nonnegative: bool = True) -> None:
+    """Reject a NaN or infinite parameter (and a negative one if ``nonnegative``).
+
+    A NaN magnitude would never pass the truncation test and hang the
+    resampling loop; an infinite one turns every duration into inf.
+    """
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        bound = "finite and >= 0" if nonnegative else "finite"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 class ErrorModel:
     """Base class: a source of multiplicative prediction errors.
 
@@ -114,8 +125,7 @@ class NormalErrorModel(ErrorModel):
     mode: str = "multiply"
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0:
-            raise ValueError(f"error magnitude must be >= 0, got {self.magnitude}")
+        _check_finite("error magnitude", self.magnitude)
         if not 0 < self.min_ratio < 1:
             raise ValueError(f"min_ratio must be in (0, 1), got {self.min_ratio}")
         if self.mode not in ("multiply", "divide"):
@@ -144,8 +154,7 @@ class UniformErrorModel(ErrorModel):
     mode: str = "multiply"
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0:
-            raise ValueError(f"error magnitude must be >= 0, got {self.magnitude}")
+        _check_finite("error magnitude", self.magnitude)
         if self.mode not in ("multiply", "divide"):
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
 
@@ -173,6 +182,10 @@ class DriftingErrorModel(ErrorModel):
     min_ratio: float = MIN_RATIO
     mode: str = "multiply"
     _mean: float = dataclasses.field(default=1.0, init=False)
+
+    def __post_init__(self) -> None:
+        _check_finite("error magnitude", self.magnitude)
+        _check_finite("drift_per_step", self.drift_per_step, nonnegative=False)
 
     def ratio(self, rng: np.random.Generator) -> float:
         if self.magnitude == 0.0:

@@ -311,20 +311,14 @@ class _DesView(MasterView):
     def note_completion(self, worker: int, chunk_index: int, size: float, when: float) -> None:
         self._done[worker] += 1
         self._outstanding -= 1
-        bisect.insort(
-            self._all_notes,
-            CompletionNote(time=when, chunk_index=chunk_index, worker=worker, size=size),
-        )
+        bisect.insort(self._all_notes, CompletionNote(when, chunk_index, worker, size))
 
     def note_loss(self, worker: int, chunk_index: int, size: float, when: float) -> None:
         # A loss leaves the pending set exactly like a completion; it is
         # only recorded in the loss list rather than the completion list.
         self._done[worker] += 1
         self._outstanding -= 1
-        bisect.insort(
-            self._all_losses,
-            LossNote(time=when, chunk_index=chunk_index, worker=worker, size=size),
-        )
+        bisect.insort(self._all_losses, LossNote(when, chunk_index, worker, size))
 
 
 def simulate_des(
@@ -437,9 +431,7 @@ def simulate_des(
             )
             rec = records[msg.index]
             assert rec is not None
-            records[msg.index] = dataclasses.replace(
-                rec, comp_start=comp_start, comp_end=comp_end
-            )
+            records[msg.index] = rec._replace(comp_start=comp_start, comp_end=comp_end)
             completions.put(("done", index, msg.index, msg.size, comp_end))
 
     def delivery_proc(worker: int, msg: _ChunkMsg, t_lat: float):
@@ -448,7 +440,7 @@ def simulate_des(
         monitor.record(env.now, "arrival", worker, chunk=msg.index, size=msg.size)
         rec = records[msg.index]
         assert rec is not None
-        records[msg.index] = dataclasses.replace(rec, arrival=env.now)
+        records[msg.index] = rec._replace(arrival=env.now)
         inboxes[worker].put(msg)
 
     def loss_announce_proc(worker: int, idx: int, size: float, phase: str, t_lat: float):
@@ -513,7 +505,7 @@ def simulate_des(
         )
         rec = records[index]
         assert rec is not None
-        records[index] = dataclasses.replace(rec, send_end=send_end)
+        records[index] = rec._replace(send_end=send_end)
         msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=phase)
         yield from delivery_proc(worker, msg, t_lat)
 
@@ -680,19 +672,13 @@ def simulate_des(
                 send_start, "dispatch_start", action.worker,
                 chunk=index, size=size, phase=action.phase,
             )
+            # Positional, in field order: keyword construction of a named
+            # tuple costs more than twice as much, once per chunk.
             records.append(
                 DispatchRecord(
-                    index=index,
-                    worker=action.worker,
-                    size=size,
-                    send_start=send_start,
-                    send_end=send_end_pred,
-                    arrival=arrival_pred,
-                    comp_start=comp_start_pred,
-                    comp_end=comp_end_pred,
-                    phase=action.phase,
-                    lost=lost,
-                    loss_time=loss_time,
+                    index, action.worker, size, send_start, send_end_pred,
+                    arrival_pred, comp_start_pred, comp_end_pred, action.phase,
+                    lost, loss_time,
                 )
             )
             view.note_dispatch(action.worker, size)
@@ -767,7 +753,7 @@ def simulate_des(
             )
             rec = records[index]
             assert rec is not None
-            records[index] = dataclasses.replace(rec, send_end=send_end)
+            records[index] = rec._replace(send_end=send_end)
             msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=action.phase)
             if path is None:
                 deliveries.append(env.process(delivery_proc(action.worker, msg, spec.tLat)))

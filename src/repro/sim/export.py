@@ -55,7 +55,7 @@ def result_json(result: SimResult, indent: int | None = None) -> str:
         "num_chunks": result.num_chunks,
         "utilization": result.utilization(),
         "platform": [dataclasses.asdict(w) for w in result.platform],
-        "records": [dataclasses.asdict(r) for r in result.records],
+        "records": [r._asdict() for r in result.records],
     }
     return json.dumps(doc, indent=indent)
 

@@ -148,18 +148,17 @@ class _FastView(MasterView):
         if self._notes_pending:
             # Pending notes arrive nearly sorted (comp_end is monotone per
             # worker), so timsort merges them cheaply; amortized the whole
-            # run costs O(K log K) instead of insort's O(K²).
+            # run costs O(K log K) instead of insort's O(K²).  Notes are
+            # tuples led by (time, chunk_index) and chunk indices are
+            # unique, so their natural order is the (time, chunk_index)
+            # order and neither the sort nor the bisect needs a key.
             self._notes_sorted.extend(self._notes_pending)
-            self._notes_sorted.sort(key=lambda n: (n.time, n.chunk_index))
+            self._notes_sorted.sort()
             self._notes_pending.clear()
         key = (self._now, len(self._notes_sorted))
         if self._obs_cache is not None and key == self._obs_cache_key:
             return self._obs_cache
-        cutoff = bisect.bisect_right(
-            self._notes_sorted,
-            (self._now, float("inf")),
-            key=lambda n: (n.time, n.chunk_index),
-        )
+        cutoff = bisect.bisect_right(self._notes_sorted, (self._now, math.inf))
         self._obs_cache = tuple(self._notes_sorted[:cutoff])
         self._obs_cache_key = key
         return self._obs_cache
@@ -175,16 +174,12 @@ class _FastView(MasterView):
     def observed_losses(self) -> tuple[LossNote, ...]:
         if self._losses_pending:
             self._losses_sorted.extend(self._losses_pending)
-            self._losses_sorted.sort(key=lambda n: (n.time, n.chunk_index))
+            self._losses_sorted.sort()
             self._losses_pending.clear()
         key = (self._now, len(self._losses_sorted))
         if key == self._loss_cache_key:
             return self._loss_cache
-        cutoff = bisect.bisect_right(
-            self._losses_sorted,
-            (self._now, float("inf")),
-            key=lambda n: (n.time, n.chunk_index),
-        )
+        cutoff = bisect.bisect_right(self._losses_sorted, (self._now, math.inf))
         self._loss_cache = tuple(self._losses_sorted[:cutoff])
         self._loss_cache_key = key
         return self._loss_cache
@@ -205,13 +200,9 @@ class _FastView(MasterView):
             self._max_end = end
         self._end_work_prefix[worker].append(self._end_work_prefix[worker][-1] + size)
         if lost:
-            self._losses_pending.append(
-                LossNote(time=end, chunk_index=index, worker=worker, size=size)
-            )
+            self._losses_pending.append(LossNote(end, index, worker, size))
         else:
-            self._notes_pending.append(
-                CompletionNote(time=end, chunk_index=index, worker=worker, size=size)
-            )
+            self._notes_pending.append(CompletionNote(end, index, worker, size))
 
 
 def simulate_fast(
@@ -415,19 +406,12 @@ def simulate_fast(
                 )
         num_dispatched += 1
         if collect_records:
+            # Positional, in field order: keyword construction of a named
+            # tuple costs more than twice as much, once per chunk.
             records.append(
                 DispatchRecord(
-                    index=len(records),
-                    worker=action.worker,
-                    size=size,
-                    send_start=send_start,
-                    send_end=send_end,
-                    arrival=arrival,
-                    comp_start=comp_start,
-                    comp_end=comp_end,
-                    phase=action.phase,
-                    lost=lost,
-                    loss_time=loss_time,
+                    len(records), action.worker, size, send_start, send_end,
+                    arrival, comp_start, comp_end, action.phase, lost, loss_time,
                 )
             )
         now = send_end

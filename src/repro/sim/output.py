@@ -175,9 +175,7 @@ def simulate_with_output(
             yield env.timeout(comp_time)
             comp_end = env.now
             rec = records[chunk_index]
-            records[chunk_index] = dataclasses.replace(
-                rec, comp_start=comp_start, comp_end=comp_end
-            )
+            records[chunk_index] = rec._replace(comp_start=comp_start, comp_end=comp_end)
             completions.put((index, chunk_index, size, comp_end))
             if output_ratio > 0:
                 open_returns[0] += 1
@@ -212,7 +210,7 @@ def simulate_with_output(
             yield env.timeout(t_lat)
         chunk_index = payload[0]
         rec = records[chunk_index]
-        records[chunk_index] = dataclasses.replace(rec, arrival=env.now)
+        records[chunk_index] = rec._replace(arrival=env.now)
         inboxes[worker].put(payload)
 
     def absorb(worker: int, idx: int, size: float, when: float) -> None:
@@ -232,7 +230,7 @@ def simulate_with_output(
         yield env.timeout(link_time)
         link.release(req)
         send_end = env.now
-        records[index] = dataclasses.replace(records[index], send_end=send_end)
+        records[index] = records[index]._replace(send_end=send_end)
         env.process(delivery_proc(worker, (index, size, comp_time), platform[worker].tLat))
 
     def master_proc():

@@ -114,7 +114,7 @@ def simulate(
     platform:
         The master-worker platform.
     total_work:
-        ``W_total`` in workload units; must be positive.
+        ``W_total`` in workload units; must be finite and positive.
     scheduler:
         Any :class:`~repro.core.base.Scheduler`.
     error_model:
@@ -148,8 +148,8 @@ def simulate(
     from repro.sim.engine import simulate_des
     from repro.sim.fastsim import simulate_fast
 
-    if not total_work > 0:
-        raise ValueError(f"total_work must be > 0, got {total_work}")
+    if not (total_work > 0 and math.isfinite(total_work)):
+        raise ValueError(f"total_work must be finite and > 0, got {total_work}")
     if error_model is None:
         error_model = NoError()
     fault_model = None

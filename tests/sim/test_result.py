@@ -49,7 +49,7 @@ def test_validate_catches_link_overlap(paper_platform):
     good = simulate(paper_platform, W, UMR())
     bad_records = list(good.records)
     r = bad_records[1]
-    bad_records[1] = dataclasses.replace(r, send_start=r.send_start - 1.0)
+    bad_records[1] = r._replace(send_start=r.send_start - 1.0)
     bad = dataclasses.replace(good, records=tuple(bad_records))
     with pytest.raises(AssertionError, match="link overlap"):
         validate_schedule(bad)
@@ -59,7 +59,7 @@ def test_validate_catches_compute_before_arrival(paper_platform):
     good = simulate(paper_platform, W, UMR())
     bad_records = list(good.records)
     r = bad_records[0]
-    bad_records[0] = dataclasses.replace(r, comp_start=r.arrival - 0.5)
+    bad_records[0] = r._replace(comp_start=r.arrival - 0.5)
     bad = dataclasses.replace(good, records=tuple(bad_records))
     with pytest.raises(AssertionError):
         validate_schedule(bad)
